@@ -8,12 +8,12 @@ with a symbolic expression and an optional brute-force cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (Graph, GraphError, PairClass, classify_pair, complement,
                      has_twins, is_connected, lex_product, product_coords)
-from .groups import DEFAULT_MAX_DEGREE, OracleBoundError, aut_order, wreath_order
+from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
 from .wl import (PairColouring, initial_colouring, refine_step, stable_colouring)
 from .expressions import (AutLeaf, FreeWreath, GroupExpr, Indeterminate, QutLeaf,
                           Wreath, serialize, simplify, to_tree)

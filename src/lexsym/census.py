@@ -11,22 +11,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, empty_graph
+from .graphs import Graph, _bits, empty_graph
 from .groups import is_isomorphic
 
 
 def _invariant(g: Graph) -> tuple:
-    degs = [g.degree(v) for v in range(g.n)]
-    profile = sorted((d, tuple(sorted(g.degree(w) for w in _bits(g.rows[v]))))
-                     for v, d in enumerate(degs))
+    degs = [row.bit_count() for row in g.rows]
+    profile = sorted((d, tuple(sorted(degs[w] for w in _bits(row))))
+                     for d, row in zip(degs, g.rows))
     triangles = sum((g.rows[u] & g.rows[v]).bit_count() for u, v in g.edges()) // 3
     return (g.n, g.edge_count(), triangles, tuple(profile))
-
-
-def _bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 @lru_cache(maxsize=None)

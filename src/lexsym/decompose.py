@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (Graph, GraphError, complement, connected_components,
-                     disjoint_union, empty_graph, induced_subgraph, is_connected,
-                     lex_product, twin_partition, has_twins)
+                     empty_graph, induced_subgraph, is_connected, lex_product,
+                     twin_partition, has_twins)
 from .groups import (DEFAULT_MAX_DEGREE, OracleBoundError, is_isomorphic,
                      is_vertex_transitive)
 from .wl import stable_colouring
@@ -99,9 +99,6 @@ def component_decomposition(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> D
                 break
     except OracleBoundError:
         pairwise = None
-    if pairwise:
-        return DecompositionReport(kind="components", alpha_or_beta=len(comps),
-                                   inner_factor=first, pairwise_isomorphic=True)
     return DecompositionReport(kind="components", alpha_or_beta=len(comps),
                                inner_factor=first, pairwise_isomorphic=pairwise)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, complement, star_graph, graph_key
+from .graphs import Graph
 from .formats import content_hash, write_graph
 
 GroupExpr = Union["SPlus", "S", "QutLeaf", "AutLeaf",

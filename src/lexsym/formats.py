@@ -24,7 +24,8 @@ def parse_graph(text: str, fmt: str = "text") -> Graph:
         raise FormatError(f"unknown format {fmt!r}")
     stripped = text.lstrip()
     if stripped.startswith(GRAPH6_HEADER):
-        return decode_graph6(stripped[len(GRAPH6_HEADER):].strip().splitlines()[0])
+        body = stripped[len(GRAPH6_HEADER):].strip().splitlines()
+        return decode_graph6(body[0] if body else "")
     if fmt == "graph6":
         for line in text.splitlines():
             line = line.strip()

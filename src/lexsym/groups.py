@@ -1,20 +1,24 @@
 """Brute-force symmetry oracle for small graphs.
 
-Automorphisms are found by backtracking over vertex images, pruned by the
-stable pair colouring (a vertex may only map to a vertex with the same
-stable diagonal colour, and mapped pairs must agree in colour) plus
-adjacency consistency of the partial map.  Groups are returned as explicit
-element lists; orders of very symmetric graphs are available separately
-through a stabiliser-chain count that never materialises the elements.
+Every query runs through one backtracking search over vertex images.  Each
+vertex has a list of candidate images, and a vertex w may be the image of
+the next vertex d only if the relation rows agree on everything placed so
+far: rel[d][u] == target_rel[w][image of u].  Automorphism queries use the
+stable pair colouring as the relation (it refines adjacency and every
+automorphism preserves it) with candidates of equal stable diagonal
+colour; isomorphism tests use adjacency, with candidates of equal refined
+vertex colour.  Groups are returned as explicit element lists; orders of
+very symmetric graphs are available separately through a stabiliser-chain
+count that never materialises the elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, GraphError
-from .wl import stable_colouring, PairColouring
+from .wl import stable_colouring
 
 DEFAULT_MAX_DEGREE = 14
 
@@ -42,12 +46,14 @@ def _check_bound(g: Graph, max_degree: int) -> None:
             "raise it with --max-degree")
 
 
-def _search(n: int, candidates: list[list[int]], adj: tuple[int, ...],
-            target_adj: tuple[int, ...], collect: Optional[list[tuple[int, ...]]],
+def _search(n: int, candidates: list[list[int]], rel: Sequence[Sequence],
+            target_rel: Sequence[Sequence], collect: Optional[list[tuple[int, ...]]],
             prefix: list[int]) -> bool:
     """Extend `prefix` (images of vertices 0..len(prefix)-1) to full bijections.
 
-    With `collect` set, every completion is recorded and the search is
+    A candidate w for the next vertex d is kept only if
+    rel[d][u] == target_rel[w][prefix[u]] for every placed vertex u.  With
+    `collect` set, every completion is recorded and the search is
     exhaustive; otherwise it stops at the first completion and reports
     whether one exists.
     """
@@ -55,49 +61,51 @@ def _search(n: int, candidates: list[list[int]], adj: tuple[int, ...],
     if depth == n:
         if collect is not None:
             collect.append(tuple(prefix))
-            return True
         return True
-    used = 0
-    for w in prefix:
-        used |= 1 << w
+    row = rel[depth]
     found = False
     for w in candidates[depth]:
-        if used >> w & 1:
+        if w in prefix:
             continue
-        ok = True
-        row = adj[depth]
-        trow = target_adj[w]
+        trow = target_rel[w]
         for u in range(depth):
-            if (row >> u & 1) != (trow >> prefix[u] & 1):
-                ok = False
+            if row[u] != trow[prefix[u]]:
                 break
-        if not ok:
-            continue
-        prefix.append(w)
-        if _search(n, candidates, adj, target_adj, collect, prefix):
-            found = True
-            if collect is None:
-                prefix.pop()
-                return True
-        prefix.pop()
+        else:
+            prefix.append(w)
+            if _search(n, candidates, rel, target_rel, collect, prefix):
+                found = True
+                if collect is None:
+                    prefix.pop()
+                    return True
+            prefix.pop()
     return found
 
 
-def _diag_candidates(c: PairColouring) -> list[list[int]]:
-    n = c.n
-    diag = [c.colour(v, v) for v in range(n)]
-    return [[w for w in range(n) if diag[w] == diag[v]] for v in range(n)]
+def _stable_relation(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Candidates of equal stable diagonal colour, and the stable colour rows."""
+    rel = stable_colouring(g).stable.matrix()
+    diag = [rel[v][v] for v in range(g.n)]
+    return [[w for w in range(g.n) if diag[w] == diag[v]] for v in range(g.n)], rel
+
+
+def _level(g: Graph, candidates: list[list[int]], rel: list[list[int]], k: int) -> int:
+    """The number of images of k under automorphisms fixing 0..k-1 pointwise.
+
+    Each image w is certified by one completing automorphism, searched with
+    w as the only candidate for k.
+    """
+    fixed = list(range(k))
+    return sum(_search(g.n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel, None, fixed)
+               for w in candidates[k])
 
 
 def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
     """All adjacency-preserving permutations, in lexicographic image order."""
     _check_bound(g, max_degree)
-    if g.n == 0:
-        return PermGroup(0, (tuple(),))
-    c = stable_colouring(g).stable
-    candidates = _diag_candidates(c)
+    candidates, rel = _stable_relation(g)
     out: list[tuple[int, ...]] = []
-    _search(g.n, candidates, g.rows, g.rows, out, [])
+    _search(g.n, candidates, rel, rel, out, [])
     out.sort()
     return PermGroup(g.n, tuple(out))
 
@@ -105,34 +113,20 @@ def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
 def aut_order(g: Graph) -> int:
     """|Aut(g)| via a stabiliser chain on the base 0, 1, ..., n-1.
 
-    At level k the factor is the number of vertices w such that some
-    automorphism fixes 0..k-1 pointwise and maps k to w; each candidacy is
-    certified by finding a single completing automorphism.  This handles
-    graphs whose groups are far too large to enumerate.
+    The factor at level k is the number of images of k under automorphisms
+    fixing 0..k-1 pointwise.  This handles graphs whose groups are far too
+    large to enumerate.
     """
-    if g.n == 0:
-        return 1
-    c = stable_colouring(g).stable
-    candidates = _diag_candidates(c)
+    candidates, rel = _stable_relation(g)
     order = 1
     for k in range(g.n):
-        level = 0
-        mask = (1 << k) - 1
-        for w in candidates[k]:
-            if w < k:
-                continue  # 0..k-1 are fixed points, so their images are taken
-            if (g.rows[k] & mask) != (g.rows[w] & mask):
-                continue  # inconsistent with the fixed points
-            prefix = list(range(k)) + [w]
-            if _search(g.n, candidates, g.rows, g.rows, None, prefix):
-                level += 1
-        order *= level
+        order *= _level(g, candidates, rel, k)
     return order
 
 
-def orbits(group: PermGroup) -> list[list[int]]:
-    """Vertex classes under the group action, ordered by smallest member."""
-    parent = list(range(group.n))
+def _partition(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Classes of 0..size-1 joined along `links`, ordered by smallest member."""
+    parent = list(range(size))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -140,41 +134,28 @@ def orbits(group: PermGroup) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for perm in group.elements:
-        for v in range(group.n):
-            ra, rb = find(v), find(perm[v])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
     classes: dict[int, list[int]] = {}
-    for v in range(group.n):
-        classes.setdefault(find(v), []).append(v)
-    return [classes[r] for r in sorted(classes)]
+    for x in range(size):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def orbits(group: PermGroup) -> list[list[int]]:
+    """Vertex classes under the group action, ordered by smallest member."""
+    n = group.n
+    return _partition(n, ((v, perm[v]) for perm in group.elements for v in range(n)))
 
 
 def orbitals(group: PermGroup) -> list[list[tuple[int, int]]]:
     """Ordered-pair classes under the diagonal action, ordered by smallest pair."""
     n = group.n
-    parent = list(range(n * n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for perm in group.elements:
-        for u in range(n):
-            pu = perm[u] * n
-            un = u * n
-            for v in range(n):
-                ra, rb = find(un + v), find(pu + perm[v])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for u in range(n):
-        for v in range(n):
-            classes.setdefault(find(u * n + v), []).append((u, v))
-    return [classes[r] for r in sorted(classes)]
+    links = ((u * n + v, perm[u] * n + perm[v])
+             for perm in group.elements for u in range(n) for v in range(n))
+    return [[divmod(x, n) for x in cls] for cls in _partition(n * n, links)]
 
 
 def refined_vertex_colours(g: Graph) -> list[int]:
@@ -184,7 +165,7 @@ def refined_vertex_colours(g: Graph) -> list[int]:
     isomorphic graphs receive identical colour lists; this makes the result
     comparable across graphs and a sound pruning key for backtracking.
     """
-    colours = [g.degree(v) for v in range(g.n)]
+    colours = [row.bit_count() for row in g.rows]
     for _ in range(g.n):
         sigs = []
         for v in range(g.n):
@@ -203,26 +184,28 @@ def refined_vertex_colours(g: Graph) -> list[int]:
     return colours
 
 
+def _adjacency(g: Graph) -> list[str]:
+    """Adjacency rows as strings of '0'/'1' indexed by vertex."""
+    return [bin(row | 1 << g.n)[:2:-1] for row in g.rows]
+
+
 def is_isomorphic(a: Graph, b: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
-    """Adjacency-preserving bijection existence, by the same backtracking engine.
+    """Adjacency-preserving bijection existence, by the same backtracking search.
 
     Candidate images are restricted by canonical refined vertex colours,
-    which agree between isomorphic graphs, before the exhaustive search.
+    which agree between isomorphic graphs; stable pair-colour ids are not
+    comparable across graphs, so the relation here is adjacency.
     """
     _check_bound(a, max_degree)
     _check_bound(b, max_degree)
-    if a.n != b.n:
+    if a.n != b.n or a.edge_count() != b.edge_count():
         return False
-    if a.edge_count() != b.edge_count():
-        return False
-    if a.n == 0:
-        return True
     col_a = refined_vertex_colours(a)
     col_b = refined_vertex_colours(b)
     if sorted(col_a) != sorted(col_b):
         return False
     candidates = [[w for w in range(b.n) if col_b[w] == col_a[v]] for v in range(a.n)]
-    return _search(a.n, candidates, a.rows, b.rows, None, [])
+    return _search(a.n, candidates, _adjacency(a), _adjacency(b), None, [])
 
 
 def is_vertex_transitive(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
@@ -230,16 +213,8 @@ def is_vertex_transitive(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool
     _check_bound(g, max_degree)
     if g.n <= 1:
         return True
-    # orbit of vertex 0 must be everything; certify each target by one search
-    c = stable_colouring(g).stable
-    diag = [c.colour(v, v) for v in range(g.n)]
-    if len(set(diag)) > 1:
-        return False
-    candidates = _diag_candidates(c)
-    for w in range(1, g.n):
-        if not _search(g.n, candidates, g.rows, g.rows, None, [w]):
-            return False
-    return True
+    candidates, rel = _stable_relation(g)
+    return _level(g, candidates, rel, 0) == g.n
 
 
 def wreath_order(aut_y_order: int, nx: int, aut_x_order: int) -> int:

@@ -170,3 +170,8 @@ class TestErrors:
         path = write_file("bad.g6", text="C~~\n")
         assert run(["--format", "graph6", "wl", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_graph6_header_without_body(self, capsys, write_file):
+        path = write_file("empty.g", text=f"{GRAPH6_HEADER}\n")
+        assert run(["aut", path]) == 2
+        assert "error:" in capsys.readouterr().err

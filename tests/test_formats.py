@@ -100,6 +100,11 @@ class TestGraph6:
         with pytest.raises(FormatError, match="no graph6 line"):
             parse_graph("# nothing here\n", fmt="graph6")
 
+    def test_header_without_body(self):
+        for text in (GRAPH6_HEADER, GRAPH6_HEADER + "\n", GRAPH6_HEADER + "  \n\n"):
+            with pytest.raises(FormatError, match="empty graph6"):
+                parse_graph(text)
+
 
 class TestContentHash:
     def test_deterministic_and_short(self):

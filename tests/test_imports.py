@@ -1,0 +1,37 @@
+"""Static hygiene of the package source: no unused module-level imports.
+
+The package re-exports its API from `__init__.py`, so that file is exempt;
+every other module must use each name it imports at module level.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "lexsym").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import os\nfrom typing import Optional, Union\nx: Optional[int]\n") == [
+        "line 1: os", "line 2: Union"]
