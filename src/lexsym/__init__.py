@@ -18,9 +18,8 @@ from .groups import (PermGroup, automorphisms, aut_order, orbits, orbitals,
 from .analysis import (AnalysisReport, ConditionReport, SeparationReport,
                        analyze_product, sabidussi_conditions,
                        verify_wl_separation, check_first_iteration_consequences)
-from .decompose import (DecompositionReport, twin_quotient,
-                        complement_twin_quotient, component_decomposition,
-                        qut_disjoint_union, analyze_vt_product, qut_expression)
+from .decompose import (DecompositionReport, split, qut_disjoint_union,
+                        analyze_vt_product, qut_expression)
 from .expressions import (SPlus, S, QutLeaf, AutLeaf, FreeWreath, Wreath,
                           FreeProd, Indeterminate, serialize, simplify,
                           classical_order, quantum_to_classical)

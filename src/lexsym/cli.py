@@ -13,12 +13,11 @@ import sys
 from pathlib import Path
 
 from .graphs import Graph, GraphError, lex_product
-from .formats import FormatError, parse_graph, write_graph
+from .formats import FormatError, content_hash, parse_graph, write_graph
 from .wl import stable_colouring
 from .groups import DEFAULT_MAX_DEGREE, automorphisms, orbits, orbitals
 from .analysis import analyze_product, verify_wl_separation, check_first_iteration_consequences
-from .decompose import (component_decomposition, qut_expression, twin_quotient,
-                        complement_twin_quotient)
+from .decompose import qut_expression, split
 from .expressions import serialize, to_tree
 from .sweeps import CounterexampleError, sabidussi_sweep
 
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y_file")
     p.add_argument("--json", action="store_true", dest="as_json")
 
-    p = sub.add_parser("decompose", help="twin/component decompositions")
+    p = sub.add_parser("decompose", help="first split of the structural walk")
     p.add_argument("graph_file")
 
     p = sub.add_parser("qut", help="symbolic quantum symmetry expression")
@@ -82,24 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ny", type=int, required=True)
 
     return parser
-
-
-def _graph_entry(g) -> dict:
-    from .formats import content_hash
-    return {"hash": content_hash(g), "text": write_graph(g)}
-
-
-def _decomposition_dict(report) -> dict:
-    out: dict = {"kind": report.kind}
-    if report.quotient is not None:
-        out["quotient"] = _graph_entry(report.quotient)
-    if report.alpha_or_beta is not None:
-        out["alpha_or_beta"] = report.alpha_or_beta
-    if report.inner_factor is not None:
-        out["inner_factor"] = _graph_entry(report.inner_factor)
-    if report.pairwise_isomorphic is not None:
-        out["pairwise_isomorphic"] = report.pairwise_isomorphic
-    return out
 
 
 def run(argv: list[str]) -> int:
@@ -154,15 +135,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "decompose":
         g = _load_graph(args.graph_file, args.format)
-        payload = {"schema": 1,
-                   "twin_quotient": _decomposition_dict(twin_quotient(g)),
-                   "complement_twin_quotient":
-                       _decomposition_dict(complement_twin_quotient(g))}
-        from .graphs import is_connected
-        if not is_connected(g):
-            payload["components"] = _decomposition_dict(
-                component_decomposition(g, args.max_degree))
-        _emit_json(payload)
+        report = split(g, args.max_degree)
+        quotient = report.quotient
+        _emit_json({"schema": 2, "kind": report.kind,
+                    "modules": [list(m) for m in report.modules],
+                    "quotient": None if quotient is None else
+                    {"hash": content_hash(quotient), "text": write_graph(quotient)}})
         return 0
 
     if args.verb == "qut":

@@ -1,9 +1,12 @@
 """Structure decompositions feeding symbolic group expressions.
 
-Covers twin quotients (g = X'[empty_alpha]), their complement analogues
-(g = X'[K_alpha]), component decompositions of disconnected graphs
-(g = empty_beta[Y']), the disjoint-union expression rules, and the
-vertex-transitive product pathway used when the wreath conditions fail.
+One structural walk splits a graph at the first of: its components, its
+co-components (components of the complement), its maximal strong modules
+when they are pairwise isomorphic (Gallai 1967: the quotient is then
+prime), and its uniform twin or complement-twin classes.  Each step writes
+the graph as a quotient with every vertex replaced by its class;
+`qut_expression` recurses over the walk, and the disjoint-union rules and
+the vertex-transitive product pathway are built on it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, GraphError, complement, connected_components,
-                     empty_graph, induced_subgraph, is_connected, lex_product,
-                     twin_partition, has_twins)
+from .graphs import (Graph, GraphError, _bits, complement, connected_components,
+                     has_twins, induced_subgraph, is_connected, lex_product,
+                     twin_partition)
 from .groups import (DEFAULT_MAX_DEGREE, OracleBoundError, is_isomorphic,
                      is_vertex_transitive)
 from .wl import stable_colouring
@@ -24,83 +27,103 @@ from .expressions import (GroupExpr, QutLeaf, SPlus, FreeWreath, FreeProd,
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Outcome of one decomposition attempt.
+    """The first step of the structural walk that applies to a graph.
 
-    kind: 'twin_quotient', 'complement_twin_quotient', 'components', or 'none'.
-    For quotients, `quotient` and `alpha_or_beta` satisfy the reconstruction
-    identity stated in the docstring of the producing function.  For
-    components, `pairwise_isomorphic` may be None if the isomorphism oracle
-    bound was exceeded.
+    kind: 'components', 'co-components', 'modules', 'twins',
+    'complement_twins', or 'none'.  `modules` are the vertex classes, each
+    sorted and ordered by smallest member; every class is a module, and the
+    graph is `quotient` with each vertex replaced by the subgraph its class
+    induces.  For 'modules', 'twins' and 'complement_twins' those subgraphs
+    are pairwise isomorphic and the quotient is twin-free or
+    complement-twin-free as the wreath conditions need.
     """
 
     kind: str
+    modules: tuple[tuple[int, ...], ...] = ()
     quotient: Optional[Graph] = None
-    alpha_or_beta: Optional[int] = None
-    inner_factor: Optional[Graph] = None
-    pairwise_isomorphic: Optional[bool] = None
 
 
-def twin_quotient(g: Graph) -> DecompositionReport:
-    """Write g as quotient[empty_alpha] when the twin classes are uniform.
+def _quotient(g: Graph, classes: tuple[tuple[int, ...], ...]) -> Graph:
+    """The graph on the classes, two classes adjacent when their members are.
 
-    The quotient has one vertex per twin class (ordered by smallest member),
-    with classes adjacent iff any cross pair is an edge; since twins share
-    neighbourhoods exactly, cross edges are all-or-nothing and the
-    reconstruction lex_product(quotient, empty_graph(alpha)) equals g under
-    the class-order vertex matching.  The quotient is twin-free, so alpha
-    is maximal.
+    Raises AssertionError unless every class is a module (each vertex
+    outside it sees all or none of it): that is what makes g the quotient
+    with each vertex replaced by its class.
     """
-    tp = twin_partition(g)
-    if tp.uniform_size is None:
-        return DecompositionReport(kind="none")
-    alpha = tp.uniform_size
-    k = len(tp.classes)
-    reps = [c[0] for c in tp.classes]
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)
-             if g.has_edge(reps[i], reps[j])]
-    quotient = Graph.from_edges(k, edges)
-    _verify_twin_reconstruction(g, quotient, alpha, tp.classes)
-    return DecompositionReport(kind="twin_quotient", quotient=quotient,
-                               alpha_or_beta=alpha)
+    masks = [sum(1 << v for v in cls) for cls in classes]
+    for cls, mask in zip(classes, masks):
+        outside = g.rows[cls[0]] & ~mask
+        if any(g.rows[v] & ~mask != outside for v in cls):
+            raise AssertionError("quotient reconstruction failed: a class is not a module")
+    k = len(classes)
+    return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
+                                if g.rows[classes[i][0]] & masks[j]])
 
 
-def _verify_twin_reconstruction(g: Graph, quotient: Graph, alpha: int,
-                                classes: tuple[tuple[int, ...], ...]) -> None:
-    rebuilt = lex_product(quotient, empty_graph(alpha))
-    # flat index (i, j) -> j-th member of class i
-    matching = [v for cls in classes for v in cls]
-    for p in range(rebuilt.n):
-        for q in range(rebuilt.n):
-            if p != q and rebuilt.has_edge(p, q) != g.has_edge(matching[p], matching[q]):
-                raise AssertionError("twin quotient reconstruction failed")
+def _module_closure(g: Graph, mask: int) -> int:
+    """The smallest module containing the vertex set `mask`.
+
+    A vertex outside the set splits it when it is adjacent to some but not
+    all members; splitters are added until none is left.
+    """
+    seen, common, new = 0, -1, mask
+    while new:
+        for v in _bits(new):
+            seen |= g.rows[v]
+            common &= g.rows[v]
+        new = seen & ~common & ~mask
+        mask |= new
+    return mask
 
 
-def complement_twin_quotient(g: Graph) -> DecompositionReport:
-    """Write g as quotient[K_alpha] via the twin quotient of the complement."""
-    inner = twin_quotient(complement(g))
-    if inner.kind == "none":
-        return DecompositionReport(kind="none")
-    assert inner.quotient is not None
-    return DecompositionReport(kind="complement_twin_quotient",
-                               quotient=complement(inner.quotient),
-                               alpha_or_beta=inner.alpha_or_beta)
+def _maximal_modules(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Maximal strong modules of a connected, co-connected graph.
+
+    Two vertices lie in the same maximal module exactly when the smallest
+    module containing both is proper, because the quotient is prime; the
+    class of r is the union of those proper closures.
+    """
+    full = (1 << g.n) - 1
+    classes, left = [], full
+    while left:
+        r = (left & -left).bit_length() - 1
+        cls = 1 << r
+        for v in _bits(left):
+            if not cls >> v & 1:
+                closure = _module_closure(g, 1 << r | 1 << v)
+                if closure != full:
+                    cls |= closure
+        classes.append(tuple(_bits(cls)))
+        left &= ~cls
+    return tuple(classes)
 
 
-def component_decomposition(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> DecompositionReport:
-    """Write a disconnected g as empty_beta[Y'] when components are isomorphic."""
-    comps = connected_components(g)
-    subgraphs = [induced_subgraph(g, comp) for comp in comps]
-    first = subgraphs[0]
-    pairwise: Optional[bool] = True
-    try:
-        for other in subgraphs[1:]:
-            if not is_isomorphic(first, other, max_degree):
-                pairwise = False
-                break
-    except OracleBoundError:
-        pairwise = None
-    return DecompositionReport(kind="components", alpha_or_beta=len(comps),
-                               inner_factor=first, pairwise_isomorphic=pairwise)
+def split(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> DecompositionReport:
+    """The first step of the structural walk that applies to g.
+
+    In order: components; co-components; maximal strong modules, used only
+    when they induce pairwise isomorphic subgraphs (labelled equality is
+    tried before the oracle; if the oracle bound is exceeded the walk goes
+    on); uniform twin classes; uniform complement-twin classes; otherwise
+    'none'.
+    """
+    for kind, h in (("components", g), ("co-components", complement(g))):
+        comps = tuple(map(tuple, connected_components(h)))
+        if len(comps) > 1:
+            return DecompositionReport(kind, comps, _quotient(g, comps))
+    modules = _maximal_modules(g)
+    if len(modules) < g.n:
+        first, *rest = (induced_subgraph(g, m) for m in modules)
+        try:
+            if all(s == first or is_isomorphic(first, s, max_degree) for s in rest):
+                return DecompositionReport("modules", modules, _quotient(g, modules))
+        except OracleBoundError:
+            pass
+    for kind, h in (("twins", g), ("complement_twins", complement(g))):
+        tp = twin_partition(h)
+        if (tp.uniform_size or 0) >= 2:
+            return DecompositionReport(kind, tp.classes, _quotient(g, tp.classes))
+    return DecompositionReport("none")
 
 
 def _component_wl_signature(g: Graph, comps: list[list[int]]) -> list[tuple]:
@@ -127,6 +150,7 @@ def qut_disjoint_union(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupE
     Components are grouped into isomorphism classes; a class of m copies of
     a representative R contributes FreeWreath(Qut(R), S+(m)), a singleton
     class contributes Qut(R), and multiple classes combine by free product.
+    Qut(R) is R's own certified expression, or the leaf where it has none.
     If two distinct classes could still be quantum isomorphic (same vertex
     and edge counts and indistinguishable stable-colour signatures), no
     product formula is certified and the result is Indeterminate.
@@ -134,35 +158,31 @@ def qut_disjoint_union(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupE
     comps = connected_components(g)
     if len(comps) <= 1:
         raise GraphError("disjoint-union rule needs a disconnected graph")
-    subgraphs = [induced_subgraph(g, comp) for comp in comps]
     classes: list[tuple[Graph, list[int]]] = []  # (representative, member indices)
     try:
-        for idx, sub in enumerate(subgraphs):
+        for idx, comp in enumerate(comps):
+            sub = induced_subgraph(g, comp)
             for rep, members in classes:
-                if is_isomorphic(rep, sub, max_degree):
+                if rep == sub or is_isomorphic(rep, sub, max_degree):
                     members.append(idx)
                     break
             else:
                 classes.append((sub, [idx]))
     except OracleBoundError:
         return Indeterminate("component isomorphism exceeds the oracle bound")
-    if len(classes) > 1:
+    counts = Counter((rep.n, rep.edge_count()) for rep, _ in classes)
+    if max(counts.values()) > 1:
         sigs = _component_wl_signature(g, comps)
-        keys = []
-        for rep, members in classes:
-            keys.append((rep.n, rep.edge_count(), sigs[members[0]]))
+        keys = [(rep.n, rep.edge_count(), sigs[members[0]]) for rep, members in classes]
         if len(set(keys)) < len(keys):
             return Indeterminate("possible quantum isomorphism across classes")
     terms: list[GroupExpr] = []
     for rep, members in classes:
-        m = len(members)
-        term: GroupExpr = QutLeaf(rep)
-        if m > 1:
-            term = FreeWreath(term, SPlus(m))
+        term = _certified(rep, max_degree)
+        if len(members) > 1:
+            term = FreeWreath(term, SPlus(len(members)))
         terms.append(term)
-    if len(terms) == 1:
-        return simplify(terms[0])
-    return simplify(FreeProd(tuple(terms)))
+    return simplify(terms[0] if len(terms) == 1 else FreeProd(tuple(terms)))
 
 
 def analyze_vt_product(x: Graph, y: Graph,
@@ -170,75 +190,50 @@ def analyze_vt_product(x: Graph, y: Graph,
     """Symbolic quantum symmetry of x[y] when the wreath conditions fail and
     both factors are vertex transitive.
 
-    Exactly one failure mode holds: either y is disconnected and x has
-    twins, or the complements are in that situation.  The first mode
-    rewrites x = X'[empty_alpha] and y = empty_beta[Y'] with maximal alpha,
-    giving FreeWreath(FreeWreath(Qut(Y'), S+(alpha*beta)), Qut(X')); the
-    second applies the same to the complements.  When the components of y
-    are not pairwise isomorphic the weaker union-leaf expression
-    FreeWreath(Qut(empty_alpha[y]), Qut(X')) is emitted instead.
+    Then y is disconnected and x has twins, or the complements are in that
+    situation, so x[y] is X'[empty_k[Y']] (or its complement) with X' the
+    twin-free quotient of x and Y' a component of y; the structural walk of
+    `qut_expression` takes it apart.
     """
-    mode1 = (not is_connected(y)) and has_twins(x)
-    mode2 = (not is_connected(complement(y))) and has_twins(complement(x))
-    if not (mode1 or mode2):
+    fails_i = not is_connected(y) and has_twins(x)
+    fails_ii = not is_connected(complement(y)) and has_twins(complement(x))
+    if not (fails_i or fails_ii):
         raise GraphError("wreath conditions hold; the product pathway does not apply")
-    if mode1 and mode2:
-        raise AssertionError("both failure modes held; a graph or its complement is connected")
     try:
         if not is_vertex_transitive(x, max_degree) or not is_vertex_transitive(y, max_degree):
             raise GraphError("pathway requires vertex-transitive factors")
     except OracleBoundError:
         return Indeterminate("factor transitivity unknown (oracle bound)")
-    if mode1:
-        xx, yy = x, y
-    else:
-        xx, yy = complement(x), complement(y)
-    tq = twin_quotient(xx)
-    assert tq.kind == "twin_quotient" and tq.quotient is not None and tq.alpha_or_beta is not None
-    alpha = tq.alpha_or_beta
-    x_quot = tq.quotient if mode1 else complement(tq.quotient)
-    cd = component_decomposition(yy, max_degree)
-    if cd.pairwise_isomorphic:
-        assert cd.inner_factor is not None and cd.alpha_or_beta is not None
-        beta = cd.alpha_or_beta
-        y_core = cd.inner_factor if mode1 else complement(cd.inner_factor)
-        expr: GroupExpr = FreeWreath(FreeWreath(QutLeaf(y_core), SPlus(alpha * beta)),
-                                     QutLeaf(x_quot))
-        return simplify(expr)
-    if cd.pairwise_isomorphic is None:
-        return Indeterminate("component isomorphism exceeds the oracle bound")
-    # components pairwise quantum isomorphic at best: keep the union leaf
-    union_leaf = lex_product(empty_graph(alpha), yy)
-    if not mode1:
-        union_leaf = complement(union_leaf)
-    return simplify(FreeWreath(QutLeaf(union_leaf), QutLeaf(x_quot)))
+    return qut_expression(lex_product(x, y), max_degree)
+
+
+def _certified(g: Graph, max_degree: int) -> GroupExpr:
+    """The certified expression of g, or the leaf Qut(g) where there is none."""
+    expr = qut_expression(g, max_degree)
+    return QutLeaf(g) if isinstance(expr, Indeterminate) else expr
 
 
 def qut_expression(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupExpr:
     """Certified symbolic quantum symmetry of a single graph.
 
-    Pathways: disconnected graphs use the disjoint-union rules; graphs with
-    a uniform (complement-)twin structure split off S+(alpha) and recurse on
-    the twin-free quotient; everything else is Indeterminate.
+    Recursion over `split`: components use the disjoint-union rules, and
+    so do co-components, since complementation preserves the quantum
+    symmetry of a graph.  The other steps write g = Q[M] with M the
+    subgraph one class induces and Q prime (modules), twin-free with M
+    edgeless (twins) or complement-twin-free with M complete (complement
+    twins), so both Sabidussi conditions hold and the result is
+    FreeWreath(Qut(M), Qut(Q)).  A graph the walk does not split is
+    Indeterminate.
     """
     if g.n == 1:
         return SPlus(1)
-    if not is_connected(g):
+    report = split(g, max_degree)
+    if report.kind == "components":
         return qut_disjoint_union(g, max_degree)
-    gc = complement(g)
-    if not is_connected(gc):
-        # complementation preserves the quantum symmetry of a graph
-        return qut_disjoint_union(gc, max_degree)
-    for report in (twin_quotient(g), complement_twin_quotient(g)):
-        if report.kind == "none" or report.alpha_or_beta is None or report.alpha_or_beta < 2:
-            continue
-        assert report.quotient is not None
-        # g = quotient[empty_alpha] (or quotient[K_alpha]); the inner factor
-        # is disconnected in exactly one of g, complement(g), and the
-        # twin-free quotient certifies the wreath split either way.
-        inner: GroupExpr = SPlus(report.alpha_or_beta)
-        outer = qut_expression(report.quotient, max_degree)
-        if isinstance(outer, Indeterminate):
-            outer = QutLeaf(report.quotient)
-        return simplify(FreeWreath(inner, outer))
-    return Indeterminate("no certified pathway applies")
+    if report.kind == "co-components":
+        return qut_disjoint_union(complement(g), max_degree)
+    if report.kind == "none":
+        return Indeterminate("no certified pathway applies")
+    inner = induced_subgraph(g, report.modules[0])
+    return simplify(FreeWreath(_certified(inner, max_degree),
+                               _certified(report.quotient, max_degree)))

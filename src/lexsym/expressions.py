@@ -138,7 +138,9 @@ def simplify(e: GroupExpr) -> GroupExpr:
 
     Rules: symmetric-group-like leaves (single vertex, edgeless, complete,
     star) collapse to S+(n) / S(n); wreathing with a trivial inner or outer
-    factor is dropped.  Nothing else is rewritten.
+    factor is dropped.  Nothing else is rewritten: free products keep their
+    S+(1) and S(1) children, which are points (isolated vertices, singleton
+    modules).
     """
     if isinstance(e, QutLeaf):
         n = _special_n(e.graph)
@@ -161,13 +163,7 @@ def simplify(e: GroupExpr) -> GroupExpr:
             return outer
         return Wreath(inner, outer)
     if isinstance(e, FreeProd):
-        children = tuple(c for c in (simplify(c) for c in e.children)
-                         if c not in (SPlus(1), S(1)))
-        if not children:
-            return SPlus(1)
-        if len(children) == 1:
-            return children[0]
-        return FreeProd(children)
+        return FreeProd(tuple(simplify(c) for c in e.children))
     return e
 
 

@@ -20,9 +20,8 @@ from lexsym import (analyze_product, aut_order, automorphisms, complement,
                     stable_colouring, star_graph, verify_wl_separation,
                     wreath_order, write_graph)
 from lexsym.census import unlabelled_graphs_upto
-from lexsym.decompose import (component_decomposition, qut_disjoint_union,
-                              twin_quotient)
-from lexsym.graphs import distance_matrix
+from lexsym.decompose import qut_disjoint_union, split
+from lexsym.graphs import distance_matrix, induced_subgraph
 from lexsym.wl import (edge_nonedge_colours, initial_colouring, refine_step,
                        table1_closed_form, triangle_counts)
 
@@ -183,18 +182,21 @@ def test_criterion_08_expression_goldens():
 
 
 def test_criterion_09_decomposition_round_trips():
-    """Twin quotient of the 4-cycle, components of its complement, and the
-    disjoint-union expression for three triangles."""
-    rep = twin_quotient(cycle_graph(4))
+    """The 4-cycle splits into two modules of size 2 over K2, its complement
+    into two isomorphic K2 components, and three triangles give the
+    disjoint-union expression."""
+    rep = split(cycle_graph(4))
+    assert [len(m) for m in rep.modules] == [2, 2]
     assert rep.quotient == complete_graph(2)
-    assert rep.alpha_or_beta == 2
     rebuilt = lex_product(rep.quotient, empty_graph(2))
     assert is_isomorphic(rebuilt, cycle_graph(4))
 
-    comp = component_decomposition(complement(cycle_graph(4)))
-    assert comp.alpha_or_beta == 2
-    assert comp.inner_factor == complete_graph(2)
-    assert comp.pairwise_isomorphic is True
+    co = complement(cycle_graph(4))
+    comp = split(co)
+    assert comp.kind == "components"
+    first, second = (induced_subgraph(co, m) for m in comp.modules)
+    assert first == complete_graph(2)
+    assert is_isomorphic(first, second)
 
     triangles, _ = disjoint_union([complete_graph(3)] * 3)
     assert serialize(qut_disjoint_union(triangles)) == "FreeWreath(S+(3),S+(3))"

@@ -86,15 +86,21 @@ class TestAnalyze:
 class TestDecompose:
     def test_cycle4(self, capsys, write_file):
         payload = run_json(capsys, ["decompose", write_file("c4.g", cycle_graph(4))])
-        assert payload["twin_quotient"]["kind"] == "twin_quotient"
-        assert payload["twin_quotient"]["alpha_or_beta"] == 2
-        assert "components" not in payload
+        assert payload["schema"] == 2
+        assert payload["kind"] == "co-components"
+        assert payload["modules"] == [[0, 2], [1, 3]]
+        assert parse_graph(payload["quotient"]["text"]) == complete_graph(2)
 
     def test_disconnected_reports_components(self, capsys, write_file):
         g, _ = disjoint_union([complete_graph(2), complete_graph(2)])
         payload = run_json(capsys, ["decompose", write_file("m.g", g)])
-        assert payload["components"]["alpha_or_beta"] == 2
-        assert payload["components"]["pairwise_isomorphic"] is True
+        assert payload["kind"] == "components"
+        assert payload["modules"] == [[0, 1], [2, 3]]
+        assert parse_graph(payload["quotient"]["text"]) == empty_graph(2)
+
+    def test_prime_graph(self, capsys, write_file):
+        payload = run_json(capsys, ["decompose", write_file("c5.g", cycle_graph(5))])
+        assert payload == {"schema": 2, "kind": "none", "modules": [], "quotient": None}
 
 
 class TestQut:

@@ -95,10 +95,12 @@ class TestSimplify:
         assert simplify(FreeWreath(SPlus(3), QutLeaf(complete_graph(1)))) == SPlus(3)
         assert simplify(Wreath(S(2), S(1))) == S(2)
 
-    def test_free_prod_drops_trivial_children(self):
+    def test_free_prod_keeps_trivial_children(self):
+        # S+(1) children are points (isolated vertices, singleton modules)
         e = FreeProd((SPlus(1), SPlus(3), QutLeaf(complete_graph(1))))
-        assert simplify(e) == SPlus(3)
-        assert simplify(FreeProd((SPlus(1), SPlus(1)))) == SPlus(1)
+        assert simplify(e) == FreeProd((SPlus(1), SPlus(3), SPlus(1)))
+        assert degree(simplify(e)) == degree(e) == 5
+        assert simplify(FreeProd((S(1), S(1)))) == FreeProd((S(1), S(1)))
 
     def test_nested(self):
         e = FreeWreath(QutLeaf(star_graph(2)), FreeWreath(SPlus(1), SPlus(3)))
