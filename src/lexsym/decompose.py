@@ -1,12 +1,9 @@
 """Structure decompositions feeding symbolic group expressions.
 
 One structural walk splits a graph at the first of: its components, its
-co-components (components of the complement), its maximal strong modules
-when they are pairwise isomorphic (Gallai 1967: the quotient is then
-prime), and its uniform twin or complement-twin classes.  Each step writes
-the graph as a quotient with every vertex replaced by its class;
-`qut_expression` recurses over the walk, and the disjoint-union rules and
-the vertex-transitive product pathway are built on it.
+co-components, its maximal strong modules when they are pairwise isomorphic
+(Gallai 1967: the quotient is then prime), and its uniform twin or
+complement-twin classes.  `qut_expression` recurses over the walk.
 """
 
 from __future__ import annotations
@@ -16,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (Graph, GraphError, _bits, complement, connected_components,
-                     has_twins, induced_subgraph, is_connected, lex_product,
-                     twin_partition)
+                     has_twins, induced_subgraph, is_connected, twin_partition)
 from .groups import (DEFAULT_MAX_DEGREE, OracleBoundError, is_isomorphic,
                      is_vertex_transitive)
 from .wl import stable_colouring
@@ -134,14 +130,8 @@ def _component_wl_signature(g: Graph, comps: list[list[int]]) -> list[tuple]:
     isomorphic for the purposes of the disjoint-union rule.
     """
     c = stable_colouring(g).stable
-    sigs = []
-    for comp in comps:
-        counter: Counter[int] = Counter()
-        for u in comp:
-            for v in comp:
-                counter[c.colour(u, v)] += 1
-        sigs.append(tuple(sorted(counter.items())))
-    return sigs
+    return [tuple(sorted(Counter(c.colour(u, v) for u in comp for v in comp).items()))
+            for comp in comps]
 
 
 def qut_disjoint_union(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupExpr:
@@ -191,9 +181,11 @@ def analyze_vt_product(x: Graph, y: Graph,
     both factors are vertex transitive.
 
     Then y is disconnected and x has twins, or the complements are in that
-    situation, so x[y] is X'[empty_k[Y']] (or its complement) with X' the
-    twin-free quotient of x and Y' a component of y; the structural walk of
-    `qut_expression` takes it apart.
+    situation.  Transitivity makes the twin classes of x uniform (size a,
+    quotient X') and the b components of y isomorphic (to Y'), so x[y] is
+    X'[empty_ab[Y']] and its symmetry is
+    FreeWreath(FreeWreath(Qut(Y'), S+(a*b)), Qut(X')), built from the
+    factors alone; in the second case X' and Y' are complemented back.
     """
     fails_i = not is_connected(y) and has_twins(x)
     fails_ii = not is_connected(complement(y)) and has_twins(complement(x))
@@ -204,7 +196,14 @@ def analyze_vt_product(x: Graph, y: Graph,
             raise GraphError("pathway requires vertex-transitive factors")
     except OracleBoundError:
         return Indeterminate("factor transitivity unknown (oracle bound)")
-    return qut_expression(lex_product(x, y), max_degree)
+    back = complement if fails_ii else (lambda h: h)
+    xx, yy = back(x), back(y)
+    twins, comps = twin_partition(xx).classes, connected_components(yy)
+    y_core = back(induced_subgraph(yy, comps[0]))
+    x_quot = back(_quotient(xx, twins))
+    return simplify(FreeWreath(FreeWreath(_certified(y_core, max_degree),
+                                          SPlus(len(twins[0]) * len(comps))),
+                               _certified(x_quot, max_degree)))
 
 
 def _certified(g: Graph, max_degree: int) -> GroupExpr:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from lexsym import (Graph, aut_order, classical_order, complement,
-                    complete_graph, cycle_graph, disjoint_union, empty_graph,
-                    lex_product, path_graph, serialize, star_graph,
-                    twin_partition)
+from lexsym import (Graph, analyze_product, aut_order, classical_order,
+                    complement, complete_graph, cycle_graph, disjoint_union,
+                    empty_graph, is_vertex_transitive, lex_product, path_graph,
+                    sabidussi_conditions, serialize, star_graph, twin_partition)
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.decompose import (_maximal_modules, _quotient, analyze_vt_product,
                               qut_disjoint_union, qut_expression, split)
@@ -213,6 +213,35 @@ class TestVtProductPathway:
         k33 = complement(copies(complete_graph(3), 2))
         expr = analyze_vt_product(k33, copies(complete_graph(3), 2), 14)
         assert serialize(expr) == "FreeWreath(FreeWreath(S+(3),S+(6)),S+(2))"
+
+    def test_differently_labelled_components_past_the_bound(self):
+        # 2C4 with its second cycle labelled 4-6-5-7: the product's two
+        # 16-vertex components differ as labelled graphs, yet only the
+        # factors are examined, so the bound of 14 is never reached
+        x = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                 (4, 6), (6, 5), (5, 7), (7, 4)])
+        y = copies(complete_graph(2), 2)
+        expr = analyze_vt_product(x, y)
+        assert serialize(expr) == "FreeWreath(FreeWreath(S+(2),S+(4)),FreeWreath(S+(2),S+(2)))"
+        assert analyze_product(x, y).verdict == "decomposed"
+        assert degree(expr) == 32
+        assert classical_order(expr) == aut_order(lex_product(x, y))
+        assert expr == analyze_vt_product(complement(x), complement(y))
+
+    def test_quotient_leaf_is_expanded(self):
+        # X' = 2K2 is certified on its own, so it is no Qut leaf
+        expr = analyze_vt_product(copies(cycle_graph(4), 2), empty_graph(2))
+        assert serialize(expr) == "FreeWreath(S+(4),FreeWreath(S+(2),S+(2)))"
+
+    def test_certified_on_small_transitive_pairs(self):
+        vt = [g for g in unlabelled_graphs_upto(6) if is_vertex_transitive(g)]
+        for x in vt:
+            for y in vt:
+                if sabidussi_conditions(x, y).wreath_holds:
+                    continue
+                expr = analyze_vt_product(x, y)
+                assert degree(expr) == x.n * y.n
+                assert classical_order(expr) == aut_order(lex_product(x, y))
 
 
 class TestQutExpression:
