@@ -15,9 +15,9 @@ from .graphs import (Graph, GraphError, PairClass, classify_pair, complement,
                      has_twins, is_connected, lex_product, product_coords)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
 from .wl import (PairColouring, initial_colouring, refine_step, stable_colouring)
-from .expressions import (AutLeaf, FreeWreath, GroupExpr, Indeterminate, QutLeaf,
-                          Wreath, serialize, simplify, to_tree)
-from .decompose import analyze_vt_product
+from .expressions import (FreeWreath, GroupExpr, Indeterminate, quantum_to_classical,
+                          serialize, simplify, to_tree)
+from .decompose import analyze_vt_product, certified
 from .formats import content_hash, write_graph
 
 
@@ -196,16 +196,17 @@ def analyze_product(x: Graph, y: Graph,
     """Decide the wreath verdict for x[y] and build the report.
 
     When both conditions hold the product's symmetry is the (free) wreath
-    product of the factor symmetries.  Otherwise the vertex-transitive
-    pathway is attempted; failing that the verdict is indeterminate with
-    the broken condition named.
+    product of the factor symmetries, each the factor's certified expression
+    from the structural walk (a Qut leaf where it has none).  Otherwise the
+    vertex-transitive pathway is attempted; failing that the verdict is
+    indeterminate with the broken condition named.
     """
     conditions = sabidussi_conditions(x, y)
     classical_expr: Optional[GroupExpr] = None
     if conditions.wreath_holds:
         verdict = "wreath"
-        quantum = simplify(FreeWreath(QutLeaf(y), QutLeaf(x)))
-        classical_expr = simplify(Wreath(AutLeaf(y), AutLeaf(x)))
+        quantum = simplify(FreeWreath(certified(y, max_degree), certified(x, max_degree)))
+        classical_expr = quantum_to_classical(quantum)
     else:
         try:
             quantum = analyze_vt_product(x, y, max_degree)

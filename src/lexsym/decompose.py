@@ -168,7 +168,7 @@ def qut_disjoint_union(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupE
             return Indeterminate("possible quantum isomorphism across classes")
     terms: list[GroupExpr] = []
     for rep, members in classes:
-        term = _certified(rep, max_degree)
+        term = certified(rep, max_degree)
         if len(members) > 1:
             term = FreeWreath(term, SPlus(len(members)))
         terms.append(term)
@@ -201,12 +201,12 @@ def analyze_vt_product(x: Graph, y: Graph,
     twins, comps = twin_partition(xx).classes, connected_components(yy)
     y_core = back(induced_subgraph(yy, comps[0]))
     x_quot = back(_quotient(xx, twins))
-    return simplify(FreeWreath(FreeWreath(_certified(y_core, max_degree),
+    return simplify(FreeWreath(FreeWreath(certified(y_core, max_degree),
                                           SPlus(len(twins[0]) * len(comps))),
-                               _certified(x_quot, max_degree)))
+                               certified(x_quot, max_degree)))
 
 
-def _certified(g: Graph, max_degree: int) -> GroupExpr:
+def certified(g: Graph, max_degree: int) -> GroupExpr:
     """The certified expression of g, or the leaf Qut(g) where there is none."""
     expr = qut_expression(g, max_degree)
     return QutLeaf(g) if isinstance(expr, Indeterminate) else expr
@@ -234,5 +234,5 @@ def qut_expression(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupExpr:
     if report.kind == "none":
         return Indeterminate("no certified pathway applies")
     inner = induced_subgraph(g, report.modules[0])
-    return simplify(FreeWreath(_certified(inner, max_degree),
-                               _certified(report.quotient, max_degree)))
+    return simplify(FreeWreath(certified(inner, max_degree),
+                               certified(report.quotient, max_degree)))

@@ -14,6 +14,7 @@ from typing import Union
 
 from .graphs import Graph
 from .formats import content_hash, write_graph
+from .groups import aut_order
 
 GroupExpr = Union["SPlus", "S", "QutLeaf", "AutLeaf",
                   "FreeWreath", "Wreath", "FreeProd", "Indeterminate"]
@@ -114,40 +115,15 @@ def to_tree(e: GroupExpr) -> dict:
     raise TypeError(f"not a group expression: {e!r}")
 
 
-def _special_n(g: Graph) -> int | None:
-    """n if the graph is edgeless, complete, or a star with n leaves; else None.
-
-    These are exactly the graphs whose symmetry leaves normalise to the
-    (quantum) symmetric group on n points.
-    """
-    if g.edge_count() == 0:
-        return g.n
-    if g.edge_count() == g.n * (g.n - 1) // 2:
-        return g.n
-    # star with >= 2 leaves: unique centre, all other vertices pendant on it
-    if g.n >= 3:
-        degs = [g.degree(v) for v in range(g.n)]
-        centres = [v for v, d in enumerate(degs) if d == g.n - 1]
-        if len(centres) == 1 and all(d == 1 for v, d in enumerate(degs) if v != centres[0]):
-            return g.n - 1
-    return None
-
-
 def simplify(e: GroupExpr) -> GroupExpr:
     """Normalise an expression to a fixed point.
 
-    Rules: symmetric-group-like leaves (single vertex, edgeless, complete,
-    star) collapse to S+(n) / S(n); wreathing with a trivial inner or outer
-    factor is dropped.  Nothing else is rewritten: free products keep their
-    S+(1) and S(1) children, which are points (isolated vertices, singleton
-    modules).
+    Wreathing with a trivial inner or outer factor is dropped.  Nothing else
+    is rewritten: graph leaves stay leaves (the structural walk in
+    `decompose` decides what expression a graph gets), and free products
+    keep their S+(1) children, which are points (isolated vertices,
+    singleton modules).
     """
-    if isinstance(e, QutLeaf):
-        n = _special_n(e.graph)
-        return SPlus(n) if n is not None else e
-    if isinstance(e, AutLeaf):
-        n = _special_n(e.graph)
-        return S(n) if n is not None else e
     if isinstance(e, FreeWreath):
         inner, outer = simplify(e.inner), simplify(e.outer)
         if outer == SPlus(1):
@@ -155,13 +131,6 @@ def simplify(e: GroupExpr) -> GroupExpr:
         if inner == SPlus(1):
             return outer
         return FreeWreath(inner, outer)
-    if isinstance(e, Wreath):
-        inner, outer = simplify(e.inner), simplify(e.outer)
-        if outer == S(1):
-            return inner
-        if inner == S(1):
-            return outer
-        return Wreath(inner, outer)
     if isinstance(e, FreeProd):
         return FreeProd(tuple(simplify(c) for c in e.children))
     return e
@@ -187,8 +156,6 @@ def classical_order(e: GroupExpr) -> int:
     product counts like the direct product of the factors acting on
     disjoint point sets.  Graph leaves use the automorphism oracle.
     """
-    from .groups import aut_order  # local import to avoid a cycle
-
     if isinstance(e, (SPlus, S)):
         return math.factorial(e.n)
     if isinstance(e, (QutLeaf, AutLeaf)):

@@ -194,12 +194,12 @@ def is_isomorphic(a: Graph, b: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> b
 
     Candidate images are restricted by canonical refined vertex colours,
     which agree between isomorphic graphs; stable pair-colour ids are not
-    comparable across graphs, so the relation here is adjacency.
+    comparable across graphs, so the relation here is adjacency.  Graphs of
+    different vertex or edge counts are told apart before the bound applies.
     """
-    _check_bound(a, max_degree)
-    _check_bound(b, max_degree)
     if a.n != b.n or a.edge_count() != b.edge_count():
         return False
+    _check_bound(a, max_degree)
     col_a = refined_vertex_colours(a)
     col_b = refined_vertex_colours(b)
     if sorted(col_a) != sorted(col_b):

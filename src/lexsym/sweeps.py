@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .graphs import lex_product
-from .groups import aut_order, wreath_order
+from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
 from .analysis import sabidussi_conditions
 from .census import unlabelled_graphs_upto
 from .formats import write_graph
@@ -13,7 +13,7 @@ class CounterexampleError(AssertionError):
     """Raised when a sweep finds a pair violating the wreath equivalence."""
 
 
-def sabidussi_sweep(max_nx: int, max_ny: int, max_degree: int = 14) -> dict:
+def sabidussi_sweep(max_nx: int, max_ny: int, max_degree: int = DEFAULT_MAX_DEGREE) -> dict:
     """Check, for every unlabelled pair within the bounds, that the product's
     automorphism count equals the wreath order exactly when both conditions
     hold, and strictly exceeds it otherwise.

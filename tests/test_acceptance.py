@@ -21,6 +21,7 @@ from lexsym import (analyze_product, aut_order, automorphisms, complement,
                     wreath_order, write_graph)
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.decompose import qut_disjoint_union, split
+from lexsym.expressions import degree
 from lexsym.graphs import distance_matrix, induced_subgraph
 from lexsym.wl import (edge_nonedge_colours, initial_colouring, refine_step,
                        table1_closed_form, triangle_counts)
@@ -176,7 +177,9 @@ def test_criterion_07_first_round_splits_twins():
 def test_criterion_08_expression_goldens():
     """Symbolic verdicts for the two flagship products, byte-exact."""
     rep = analyze_product(star_graph(3), star_graph(4))
-    assert serialize(rep.quantum_expr) == "FreeWreath(S+(4),S+(3))"
+    assert serialize(rep.quantum_expr) == (
+        "FreeWreath(FreeProd(S+(1),S+(4)),FreeProd(S+(1),S+(3)))")
+    assert degree(rep.quantum_expr) == 20
     rep = analyze_product(cycle_graph(4), complement(cycle_graph(4)))
     assert serialize(rep.quantum_expr) == "FreeWreath(FreeWreath(S+(2),S+(4)),S+(2))"
 

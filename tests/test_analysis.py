@@ -9,8 +9,8 @@ from lexsym import (analyze_product, aut_order, complement, complete_graph,
                     sabidussi_conditions, serialize, star_graph,
                     verify_wl_separation, wreath_order,
                     check_first_iteration_consequences)
-from lexsym.expressions import Indeterminate
-from lexsym.formats import content_hash
+from lexsym.census import unlabelled_graphs_upto
+from lexsym.expressions import Indeterminate, classical_order, degree
 
 
 class TestConditions:
@@ -64,15 +64,17 @@ class TestAnalyze:
     def test_wreath_verdict(self):
         rep = analyze_product(cycle_graph(4), complete_graph(2))
         assert rep.verdict == "wreath"
-        expected = f"FreeWreath(S+(2),Qut(#{content_hash(cycle_graph(4))}))"
-        assert serialize(rep.quantum_expr) == expected
+        # C4 is K2[2K1]: the walk certifies it as FreeWreath(S+(2),S+(2))
+        assert serialize(rep.quantum_expr) == "FreeWreath(S+(2),FreeWreath(S+(2),S+(2)))"
         assert rep.aut_order == 128
         assert rep.wreath_order == 128
 
     def test_star_pair_golden(self):
         rep = analyze_product(star_graph(3), star_graph(4))
         assert rep.verdict == "wreath"
-        assert serialize(rep.quantum_expr) == "FreeWreath(S+(4),S+(3))"
+        assert serialize(rep.quantum_expr) == (
+            "FreeWreath(FreeProd(S+(1),S+(4)),FreeProd(S+(1),S+(3)))")
+        assert degree(rep.quantum_expr) == 20
         assert rep.classical_skipped == "bound"
 
     def test_cycle_complement_golden(self):
@@ -117,3 +119,27 @@ class TestAnalyze:
             assert order == worder
         else:
             assert order > worder
+
+
+class TestInvariants:
+    def test_certified_verdicts_match_the_oracle(self):
+        # every pair of census factors with a product of at most 12 vertices:
+        # a certified expression acts on every vertex, and its classical
+        # shadow is the automorphism group of the product (a 7-vertex factor
+        # pairs only with K1, whose products the walk's own tests cover)
+        census = unlabelled_graphs_upto(6)
+        checked = 0
+        for x in census:
+            for y in census:
+                if x.n * y.n > 12:
+                    continue
+                rep = analyze_product(x, y)
+                if isinstance(rep.quantum_expr, Indeterminate):
+                    continue
+                where = (serialize(rep.quantum_expr), x.rows, y.rows)
+                assert degree(rep.quantum_expr) == x.n * y.n, where
+                assert classical_order(rep.quantum_expr) == rep.aut_order, where
+                if rep.verdict == "wreath":
+                    assert classical_order(rep.classical_expr) == rep.aut_order, where
+                checked += 1
+        assert checked > 900

@@ -72,7 +72,8 @@ class TestAnalyze:
         y = write_file("k14.g", star_graph(4))
         payload = run_json(capsys, ["analyze", x, y, "--json"])
         assert payload["verdict"] == "wreath"
-        assert payload["quantum_expr"] == "FreeWreath(S+(4),S+(3))"
+        assert payload["quantum_expr"] == (
+            "FreeWreath(FreeProd(S+(1),S+(4)),FreeProd(S+(1),S+(3)))")
 
     def test_text_output(self, capsys, write_file):
         x = write_file("c4.g", cycle_graph(4))

@@ -181,6 +181,11 @@ class TestDisjointUnionRule:
         assert isinstance(expr, Indeterminate)
         assert "oracle bound" in expr.reason
 
+    def test_components_of_different_sizes_skip_the_oracle(self):
+        g, _ = disjoint_union([complete_graph(1), path_graph(15)])
+        assert serialize(qut_expression(g)) == (
+            f"FreeProd(S+(1),Qut(#{content_hash(path_graph(15))}))")
+
     def test_identical_components_skip_the_oracle(self):
         expr = qut_disjoint_union(copies(path_graph(15), 2))
         assert serialize(expr) == f"FreeWreath(Qut(#{content_hash(path_graph(15))}),S+(2))"

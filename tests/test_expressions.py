@@ -12,6 +12,7 @@ from lexsym import (FreeProd, FreeWreath, Indeterminate, QutLeaf, S, SPlus,
                     Wreath, classical_order, complete_graph, cycle_graph,
                     empty_graph, path_graph, quantum_to_classical, serialize,
                     simplify, star_graph)
+from lexsym.decompose import qut_expression
 from lexsym.expressions import AutLeaf, degree, to_tree
 
 leaves = st.one_of(
@@ -80,11 +81,12 @@ class TestValidation:
 
 class TestSimplify:
     def test_special_leaves_collapse(self):
-        assert simplify(QutLeaf(empty_graph(4))) == SPlus(4)
-        assert simplify(QutLeaf(complete_graph(5))) == SPlus(5)
-        assert simplify(QutLeaf(star_graph(4))) == SPlus(4)
-        assert simplify(QutLeaf(complete_graph(1))) == SPlus(1)
-        assert simplify(AutLeaf(empty_graph(3))) == S(3)
+        # the structural walk, not simplify, gives symmetric graphs S+(n)
+        assert qut_expression(empty_graph(4)) == SPlus(4)
+        assert qut_expression(complete_graph(5)) == SPlus(5)
+        assert qut_expression(star_graph(4)) == FreeProd((SPlus(1), SPlus(4)))
+        assert qut_expression(complete_graph(1)) == SPlus(1)
+        assert quantum_to_classical(qut_expression(empty_graph(3))) == S(3)
 
     def test_non_special_leaves_kept(self):
         assert simplify(QutLeaf(path_graph(4))) == QutLeaf(path_graph(4))
@@ -92,19 +94,18 @@ class TestSimplify:
 
     def test_trivial_wreath_factors_dropped(self):
         assert simplify(FreeWreath(SPlus(1), SPlus(3))) == SPlus(3)
-        assert simplify(FreeWreath(SPlus(3), QutLeaf(complete_graph(1)))) == SPlus(3)
-        assert simplify(Wreath(S(2), S(1))) == S(2)
+        assert simplify(FreeWreath(SPlus(3), FreeWreath(SPlus(1), SPlus(1)))) == SPlus(3)
 
     def test_free_prod_keeps_trivial_children(self):
         # S+(1) children are points (isolated vertices, singleton modules)
-        e = FreeProd((SPlus(1), SPlus(3), QutLeaf(complete_graph(1))))
+        e = FreeProd((SPlus(1), SPlus(3), FreeWreath(SPlus(1), SPlus(1))))
         assert simplify(e) == FreeProd((SPlus(1), SPlus(3), SPlus(1)))
         assert degree(simplify(e)) == degree(e) == 5
         assert simplify(FreeProd((S(1), S(1)))) == FreeProd((S(1), S(1)))
 
     def test_nested(self):
-        e = FreeWreath(QutLeaf(star_graph(2)), FreeWreath(SPlus(1), SPlus(3)))
-        assert serialize(simplify(e)) == "FreeWreath(S+(2),S+(3))"
+        e = FreeWreath(qut_expression(star_graph(2)), FreeWreath(SPlus(1), SPlus(3)))
+        assert serialize(simplify(e)) == "FreeWreath(FreeProd(S+(1),S+(2)),S+(3))"
 
     @settings(max_examples=60, deadline=None)
     @given(expressions)
@@ -129,13 +130,11 @@ class TestOrders:
         assert classical_order(QutLeaf(cycle_graph(4))) == 8
         assert classical_order(FreeProd((SPlus(2), SPlus(3)))) == 12
 
-    def test_star_collapse_acts_on_leaves_only(self):
-        # the star leaf normalises to the symmetric group on its leaves,
-        # so the acting degree drops by one while the order is unchanged
-        e = QutLeaf(star_graph(4))
-        assert degree(e) == 5
-        assert degree(simplify(e)) == 4
-        assert classical_order(simplify(e)) == classical_order(e) == math.factorial(4)
+    def test_star_keeps_its_centre(self):
+        # K1,4 is K1 + K4 complemented: the centre stays a fixed point
+        e = qut_expression(star_graph(4))
+        assert degree(e) == degree(QutLeaf(star_graph(4))) == 5
+        assert classical_order(e) == classical_order(QutLeaf(star_graph(4))) == math.factorial(4)
 
     def test_quantum_to_classical(self):
         e = FreeWreath(SPlus(2), FreeProd((QutLeaf(cycle_graph(5)), SPlus(3))))

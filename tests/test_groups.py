@@ -161,6 +161,13 @@ class TestIsomorphism:
         assert not is_isomorphic(cycle_graph(4), cycle_graph(5))
         assert not is_isomorphic(complete_graph(4), empty_graph(4))
 
+    def test_different_sizes_skip_the_bound(self):
+        # graphs of different vertex counts are never isomorphic, whatever
+        # the bound; equal sizes past the bound still raise
+        assert not is_isomorphic(complete_graph(1), path_graph(15), 14)
+        with pytest.raises(OracleBoundError):
+            is_isomorphic(path_graph(15), path_graph(15), 14)
+
     def test_same_degrees_different_structure(self):
         # both 2-regular on 6 vertices: one hexagon vs two triangles
         two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),

@@ -1,7 +1,9 @@
-"""Static hygiene of the package source: no unused module-level imports.
+"""Static hygiene of the package source: imports sit in the module header
+and are used.
 
 The package re-exports its API from `__init__.py`, so that file is exempt;
-every other module must use each name it imports at module level.
+every other module must use each name it imports at module level and
+import nothing inside a function body.
 """
 
 import ast
@@ -25,6 +27,24 @@ def unused_imports(source: str) -> list[str]:
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def function_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = {node.lineno
+             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_function_import():
+    source = "import os\ndef f():\n    def g():\n        import re\n    from os import path\n"
+    assert function_imports(source) == ["line 4", "line 5"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
