@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, GraphError, PairClass, classify_pair, complement,
-                     has_twins, is_connected, lex_product, product_coords)
+from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
+                     lex_product, product_coords)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
 from .wl import (PairColouring, initial_colouring, refine_step, stable_colouring)
 from .expressions import (FreeWreath, GroupExpr, Indeterminate, quantum_to_classical,
@@ -70,20 +70,21 @@ def sabidussi_conditions(x: Graph, y: Graph) -> ConditionReport:
     )
 
 
-def _pair_buckets(x: Graph, y: Graph, product: Graph):
-    """Unordered product pairs split into inner/outer edge and non-edge sets."""
+def _pair_buckets(y: Graph, product: Graph):
+    """Unordered product pairs split into inner/outer edge and non-edge sets.
+
+    A pair is inner when both ends lie in the same copy of y, that is when
+    their flat indices agree after integer division by |V(y)|."""
     inner_e, outer_e, inner_ne, outer_ne = [], [], [], []
+    ny = y.n
     for p in range(product.n):
+        row = product.rows[p]
         for q in range(p + 1, product.n):
-            kind = classify_pair(x, y, product_coords(y, p), product_coords(y, q))
-            if kind is PairClass.INNER_EDGE:
-                inner_e.append((p, q))
-            elif kind is PairClass.OUTER_EDGE:
-                outer_e.append((p, q))
-            elif kind is PairClass.INNER_NONEDGE:
-                inner_ne.append((p, q))
-            elif kind is PairClass.OUTER_NONEDGE:
-                outer_ne.append((p, q))
+            inner = p // ny == q // ny
+            if row >> q & 1:
+                (inner_e if inner else outer_e).append((p, q))
+            else:
+                (inner_ne if inner else outer_ne).append((p, q))
     return inner_e, outer_e, inner_ne, outer_ne
 
 
@@ -107,7 +108,7 @@ def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     outer edges and inner from outer non-edges."""
     product = lex_product(x, y)
     c = stable_colouring(product).stable
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(x, y, product)
+    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
     edges_ok, edge_witnesses = _separation(c, inner_e, outer_e)
     nonedges_ok, nonedge_witnesses = _separation(c, inner_ne, outer_ne)
     return SeparationReport(edges_ok, nonedges_ok,
@@ -121,7 +122,7 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
     non-neighbour in y; dually for non-edge pairs.  Returns violations."""
     product = lex_product(x, y)
     c1 = refine_step(product, initial_colouring(product))
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(x, y, product)
+    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
     xc = complement(x)
     yc = complement(y)
     violations: list[str] = []

@@ -152,10 +152,6 @@ def lex_product(x: Graph, y: Graph) -> Graph:
     return Graph(x.n * ny, tuple(rows))
 
 
-def product_index(y: Graph, a: int, b: int) -> int:
-    return a * y.n + b
-
-
 def product_coords(y: Graph, p: int) -> tuple[int, int]:
     return divmod(p, y.n)
 
@@ -268,11 +264,6 @@ def distance_matrix(g: Graph) -> list[list[Optional[int]]]:
                         nxt.append(v)
             frontier = nxt
     return dist
-
-
-def graph_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Hashable identity of the labelled graph (n plus adjacency rows)."""
-    return (g.n, g.rows)
 
 
 def _bits(mask: int) -> list[int]:

@@ -5,12 +5,20 @@ round replaces each pair colour by its exact triangle profile (counts of
 middle-vertex colour combinations), then renames the resulting classes
 canonically: new ids are assigned in order of first occurrence scanning
 pairs row-major.  Iterating to a fixed point yields the stable colouring.
+
+The round encodes middle vertex z of the pair (u, v) as the single int
+c(u,z)*k + c(z,v), with k the number of colours.  Because 0 <= c(z,v) < k
+the code is injective, so the sorted codes of a pair are its triangle
+profile written as a multiset: two pairs get equal keys exactly when their
+explicit counts are equal, and the first-occurrence rename gives the same
+ids, round for round, as counting would.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .graphs import Graph, GraphError, complement, classify_pair, PairClass
@@ -71,12 +79,8 @@ class TriangleProfile:
 
 def _canonical_rename(raw: list, n: int) -> PairColouring:
     ids: dict = {}
-    colours = []
-    for key in raw:
-        if key not in ids:
-            ids[key] = len(ids)
-        colours.append(ids[key])
-    return PairColouring(n, tuple(colours), len(ids))
+    colours = tuple([ids.setdefault(key, len(ids)) for key in raw])
+    return PairColouring(n, colours, len(ids))
 
 
 def initial_colouring(g: Graph) -> PairColouring:
@@ -134,19 +138,24 @@ def triangle_counts(g: Graph, c: PairColouring, p: int, q: int) -> TriangleProfi
 
 
 def refine_step(g: Graph, c: PairColouring) -> PairColouring:
-    """One refinement round: split classes by exact triangle profiles."""
+    """One refinement round: split classes by exact triangle profiles.
+
+    Each pair is keyed by its colour and the sorted codes
+    c(u,z)*k + c(z,v) over all z, with k = c.num_colours.  The code is
+    injective (0 <= c(z,v) < k), so equal keys mean equal triangle counts
+    and the rename assigns the ids that explicit counting would.
+    """
     if c.n != g.n:
         raise GraphError("colouring size does not match graph")
     n = g.n
-    cols = c.colours
+    k = c.num_colours
+    colours = c.colours
+    columns = [colours[v::n] for v in range(n)]
     raw = []
     for u in range(n):
-        row_u = cols[u * n:(u + 1) * n]
-        for v in range(n):
-            counts: Counter[tuple[int, int]] = Counter()
-            for z in range(n):
-                counts[(row_u[z], cols[z * n + v])] += 1
-            raw.append((cols[u * n + v], tuple(sorted(counts.items()))))
+        row_u = colours[u * n:(u + 1) * n]
+        scaled = [a * k for a in row_u]
+        raw.extend(zip(row_u, [tuple(sorted(map(add, scaled, col))) for col in columns]))
     return _canonical_rename(raw, n)
 
 

@@ -1,7 +1,10 @@
 """Pair-colouring refinement, stability, and closed-form triangle counts."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs, graph_with_permutation, apply_permutation
 from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
@@ -10,7 +13,39 @@ from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
                     distinguished, strongly_distinguished, triangle_counts,
                     table1_closed_form, profile_distinguish)
 from lexsym.graphs import GraphError
-from lexsym.wl import edge_nonedge_colours
+from lexsym.wl import _canonical_rename, edge_nonedge_colours
+
+
+def reference_refine_step(g, c):
+    """The explicit-count refinement round: one `Counter` of (c(u,z), c(z,v))
+    per pair, keyed with its sorted items.  `refine_step` must agree with it
+    id for id."""
+    n = g.n
+    cols = c.colours
+    raw = []
+    for u in range(n):
+        row_u = cols[u * n:(u + 1) * n]
+        for v in range(n):
+            counts = Counter()
+            for z in range(n):
+                counts[(row_u[z], cols[z * n + v])] += 1
+            raw.append((cols[u * n + v], tuple(sorted(counts.items()))))
+    return _canonical_rename(raw, n)
+
+
+def assert_rounds_match_reference(g):
+    trace = stable_colouring(g)
+    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
+        assert reference_refine_step(g, prev) == cur
+
+
+@st.composite
+def graph_and_colouring(draw):
+    """A graph with an arbitrary pair colouring of up to n^2 distinct ids."""
+    g = draw(graphs(min_n=1, max_n=6))
+    m = draw(st.integers(1, g.n * g.n))
+    raw = draw(st.lists(st.integers(0, m - 1), min_size=g.n * g.n, max_size=g.n * g.n))
+    return g, _canonical_rename(raw, g.n)
 
 
 class TestInitialColouring:
@@ -95,6 +130,23 @@ class TestRefinement:
     def test_size_mismatch_rejected(self):
         with pytest.raises(GraphError):
             refine_step(cycle_graph(4), initial_colouring(cycle_graph(5)))
+
+
+class TestReferenceKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=0, max_n=8))
+    def test_every_round_of_stable_colouring(self, g):
+        assert_rounds_match_reference(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_and_colouring())
+    def test_arbitrary_colourings(self, gc):
+        g, c = gc
+        assert refine_step(g, c) == reference_refine_step(g, c)
+
+    @pytest.mark.parametrize("nx, ny", [(7, 6), (8, 7)])
+    def test_cycle_products(self, nx, ny):
+        assert_rounds_match_reference(lex_product(cycle_graph(nx), cycle_graph(ny)))
 
 
 class TestDistinguishing:
