@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Alternating parent/change benchmark pairs, summarised in BENCH_<PR>.json.
+"""Alternating parent/change benchmark pairs, summarised in BENCH_<N>.json.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_pairs.py --parent REV --pr N [--seeds 10]
+    python3 scripts/bench_pairs.py --parent REV --number N [--seeds 10]
 
 The committed files of revision REV are extracted with `git archive` into a
 temporary directory.  For each seed S from 1 to --seeds, `python3
@@ -97,7 +97,7 @@ def summarise(runs: dict, better: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--pr", required=True, help="names the output file BENCH_<PR>.json")
+    parser.add_argument("--number", required=True, help="names the output file BENCH_<N>.json")
     parser.add_argument("--seeds", type=int, default=10, help="number of pairs")
     args = parser.parse_args(argv)
     if args.seeds < 1:
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    out_path = ROOT / f"BENCH_{args.pr}.json"
+    out_path = ROOT / f"BENCH_{args.number}.json"
     seeds = list(range(1, args.seeds + 1))
     runs: dict[str, list] = {"parent": [], "change": []}
 
