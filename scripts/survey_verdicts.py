@@ -11,47 +11,33 @@ pathways reach before the symbolic machinery gives up.
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lexsym import analyze_product, sabidussi_conditions, verify_wl_separation
 from lexsym.census import unlabelled_graphs_upto
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    max_nx: int = 4
-    max_ny: int = 3
-    max_product: int = 14
-    check_separation: bool = False
-
-
-def parse_config(argv) -> SurveyConfig:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-nx", type=int, default=SurveyConfig.max_nx)
-    parser.add_argument("--max-ny", type=int, default=SurveyConfig.max_ny)
-    parser.add_argument("--max-product", type=int, default=SurveyConfig.max_product,
+    parser.add_argument("--max-nx", type=int, default=4)
+    parser.add_argument("--max-ny", type=int, default=3)
+    parser.add_argument("--max-product", type=int, default=14,
                         help="skip pairs whose product has more vertices")
     parser.add_argument("--check-separation", action="store_true",
                         help="also tally separation on failing-condition pairs")
     args = parser.parse_args(argv)
-    return SurveyConfig(args.max_nx, args.max_ny, args.max_product,
-                        args.check_separation)
-
-
-def main(argv=None) -> int:
-    config = parse_config(argv)
     verdicts: Counter[str] = Counter()
     separation: Counter[str] = Counter()
-    for x in unlabelled_graphs_upto(config.max_nx):
-        for y in unlabelled_graphs_upto(config.max_ny):
-            if x.n * y.n > config.max_product:
+    for x in unlabelled_graphs_upto(args.max_nx):
+        for y in unlabelled_graphs_upto(args.max_ny):
+            if x.n * y.n > args.max_product:
                 verdicts["skipped(bound)"] += 1
                 continue
             report = analyze_product(x, y)
             verdicts[report.verdict] += 1
-            if config.check_separation and not sabidussi_conditions(x, y).wreath_holds:
+            if args.check_separation and not sabidussi_conditions(x, y).wreath_holds:
                 sep = verify_wl_separation(x, y)
                 both = (sep.inner_outer_edges_separated
                         and sep.inner_outer_nonedges_separated)
@@ -59,7 +45,7 @@ def main(argv=None) -> int:
     print("verdicts:")
     for key, count in sorted(verdicts.items()):
         print(f"  {key:20s} {count}")
-    if config.check_separation:
+    if args.check_separation:
         print("separation when conditions fail:")
         for key, count in sorted(separation.items()):
             print(f"  {key:20s} {count}")

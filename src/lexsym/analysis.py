@@ -199,8 +199,8 @@ def analyze_product(x: Graph, y: Graph,
     When both conditions hold the product's symmetry is the (free) wreath
     product of the factor symmetries, each the factor's certified expression
     from the structural walk (a Qut leaf where it has none).  Otherwise the
-    vertex-transitive pathway is attempted; failing that the verdict is
-    indeterminate with the broken condition named.
+    twin quotient of `analyze_vt_product` is attempted; failing that (twin
+    classes not uniform) the verdict is indeterminate, naming the condition.
     """
     conditions = sabidussi_conditions(x, y)
     classical_expr: Optional[GroupExpr] = None
@@ -211,7 +211,7 @@ def analyze_product(x: Graph, y: Graph,
     else:
         try:
             quantum = analyze_vt_product(x, y, max_degree)
-            verdict = "indeterminate" if isinstance(quantum, Indeterminate) else "decomposed"
+            verdict = "decomposed"
         except GraphError:
             failed = "i" if not conditions.condition_i else "ii"
             quantum = Indeterminate(f"condition {failed} fails and no pathway applies")

@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_graph(path: str, fmt: str) -> Graph:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(errors="replace")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     return parse_graph(text, fmt)
@@ -86,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for bound in ("max_degree", "max_nx", "max_ny"):
+        if getattr(args, bound, 0) < 0:
+            parser.error(f"--{bound.replace('_', '-')} must be non-negative")
     try:
         return _dispatch(args)
     except (FormatError, GraphError, CounterexampleError) as exc:

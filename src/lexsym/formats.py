@@ -9,6 +9,7 @@ Duplicate edges and loops are rejected.  A line starting with
 from __future__ import annotations
 
 import hashlib
+import sys
 
 from .graphs import Graph, GraphError
 
@@ -53,6 +54,8 @@ def _parse_text(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: vertex count is not an integer") from None
             if n < 0:
                 raise FormatError(f"line {lineno}: negative vertex count")
+            if n > sys.maxsize:
+                raise FormatError(f"line {lineno}: vertex count too large")
             continue
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected edge 'u v', got {raw!r}")

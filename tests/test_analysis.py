@@ -90,7 +90,7 @@ class TestAnalyze:
         assert rep.wreath_order == 8
 
     def test_indeterminate_pair(self):
-        # condition i fails but the left factor is not vertex transitive
+        # condition i fails and P3's twin classes {0, 2}, {1} are not uniform
         rep = analyze_product(path_graph(3), empty_graph(2))
         assert rep.verdict == "indeterminate"
         assert isinstance(rep.quantum_expr, Indeterminate)

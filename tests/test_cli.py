@@ -140,6 +140,19 @@ class TestSweep:
         payload = run_json(capsys, ["sweep", "--max-nx", "1", "--max-ny", "1"])
         assert payload["pairs_verified"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--max-nx", "-1", "--max-ny", "2"],
+        ["sweep", "--max-nx", "2", "--max-ny", "-1"],
+        ["--max-degree", "-3", "qut", "g.txt"],
+    ])
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "must be non-negative" in captured.err
+        assert captured.out == ""
+
 
 class TestFormats:
     def test_graph6_flag(self, capsys, write_file):
@@ -177,6 +190,18 @@ class TestErrors:
         path = write_file("bad.g6", text="C~~\n")
         assert run(["--format", "graph6", "wl", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_vertex_count_too_large(self, capsys, write_file):
+        path = write_file("huge.g", text="999999999999999999999999999999\n")
+        assert run(["aut", path]) == 2
+        assert "too large" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        # undecodable bytes reach the parser as U+FFFD and are rejected there
+        path = tmp_path / "bytes.g"
+        path.write_bytes(b"\xff\xfe3\n")
+        assert run(["aut", str(path)]) == 2
+        assert "line 1: vertex count is not an integer" in capsys.readouterr().err
 
     def test_graph6_header_without_body(self, capsys, write_file):
         path = write_file("empty.g", text=f"{GRAPH6_HEADER}\n")

@@ -1,5 +1,6 @@
 """The structural walk (`split`) and the symbolic symmetry pathways on it."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,10 +13,10 @@ from lexsym import (Graph, analyze_product, aut_order, classical_order,
                     sabidussi_conditions, serialize, star_graph, twin_partition)
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.decompose import (_maximal_modules, _quotient, analyze_vt_product,
-                              qut_disjoint_union, qut_expression, split)
-from lexsym.expressions import Indeterminate, SPlus, degree
+                              certified, qut_disjoint_union, qut_expression, split)
+from lexsym.expressions import FreeWreath, Indeterminate, SPlus, degree, simplify
 from lexsym.formats import content_hash
-from lexsym.graphs import GraphError, induced_subgraph, is_connected
+from lexsym.graphs import GraphError, connected_components, induced_subgraph, is_connected
 
 
 def copies(g, k):
@@ -206,12 +207,24 @@ class TestVtProductPathway:
         assert expr == SPlus(4)
 
     def test_non_transitive_factor_rejected(self):
+        # P3's twin classes {0, 2} and {1} are not uniform, so P3 is no
+        # X'[aK1] and the twin quotient does not apply
         with pytest.raises(GraphError):
             analyze_vt_product(path_graph(3), empty_graph(2))
 
-    def test_bound_gives_indeterminate(self):
-        expr = analyze_vt_product(empty_graph(2), empty_graph(2), max_degree=1)
-        assert isinstance(expr, Indeterminate)
+    def test_runs_no_oracle(self):
+        # the four components of 4K1 are equal as labelled graphs, so no
+        # isomorphism test runs and a bound of 1 is never reached
+        assert analyze_vt_product(empty_graph(2), empty_graph(2), max_degree=1) == SPlus(4)
+
+    def test_transitive_free_factor(self):
+        # P4[2K1] has uniform twin classes but is not vertex transitive
+        x, y = lex_product(path_graph(4), empty_graph(2)), empty_graph(2)
+        expr = analyze_vt_product(x, y)
+        assert serialize(expr) == f"FreeWreath(S+(4),Qut(#{content_hash(path_graph(4))}))"
+        assert analyze_product(x, y).verdict == "decomposed"
+        assert degree(expr) == 16
+        assert classical_order(expr) == 663552 == aut_order(lex_product(x, y))
 
     def test_product_past_the_bound(self):
         # K3,3[2K3] has 36 vertices; its co-components are identical copies
@@ -239,14 +252,44 @@ class TestVtProductPathway:
         assert serialize(expr) == "FreeWreath(S+(4),FreeWreath(S+(2),S+(2)))"
 
     def test_certified_on_small_transitive_pairs(self):
+        # the paper's closed form for vertex-transitive factors: the twin
+        # classes of X have size a, Y has b components isomorphic to Y', and
+        # the symmetry is FreeWreath(FreeWreath(Qut(Y'), S+(ab)), Qut(X'))
         vt = [g for g in unlabelled_graphs_upto(6) if is_vertex_transitive(g)]
+        checked = 0
         for x in vt:
             for y in vt:
                 if sabidussi_conditions(x, y).wreath_holds:
                     continue
+                back = complement if is_connected(y) else (lambda h: h)
+                twins, comps = twin_partition(back(x)).classes, connected_components(back(y))
+                y_core = back(induced_subgraph(back(y), comps[0]))
+                closed = simplify(FreeWreath(FreeWreath(certified(y_core, 14),
+                                                        SPlus(len(twins[0]) * len(comps))),
+                                             certified(back(_quotient(back(x), twins)), 14)))
                 expr = analyze_vt_product(x, y)
+                assert expr == closed, (serialize(expr), serialize(closed))
                 assert degree(expr) == x.n * y.n
                 assert classical_order(expr) == aut_order(lex_product(x, y))
+                checked += 1
+        assert checked == 128
+
+    def test_failing_census_pairs(self):
+        # census factors of at most 6 vertices, products of at most 16 and a
+        # failed condition: 218 of the 574 pairs have uniform twin classes
+        census = unlabelled_graphs_upto(6)
+        verdicts = Counter()
+        for x in census:
+            for y in census:
+                if x.n * y.n > 16 or sabidussi_conditions(x, y).wreath_holds:
+                    continue
+                rep = analyze_product(x, y, 16)
+                verdicts[rep.verdict] += 1
+                if rep.verdict == "decomposed":
+                    where = (serialize(rep.quantum_expr), x.rows, y.rows)
+                    assert degree(rep.quantum_expr) == x.n * y.n, where
+                    assert classical_order(rep.quantum_expr) == rep.aut_order, where
+        assert verdicts == {"decomposed": 218, "indeterminate": 356}
 
 
 class TestQutExpression:

@@ -1,10 +1,10 @@
 """Graph serialization: edge-list text and graph6."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import graphs
-from lexsym import (complete_graph, cycle_graph, decode_graph6, empty_graph,
+from lexsym import (Graph, complete_graph, cycle_graph, decode_graph6, empty_graph,
                     encode_graph6, parse_graph, write_graph)
 from lexsym.formats import FormatError, GRAPH6_HEADER, content_hash
 
@@ -34,6 +34,10 @@ class TestText:
     def test_negative_count(self):
         with pytest.raises(FormatError, match="negative"):
             parse_graph("-2\n")
+
+    def test_count_past_the_index_range(self):
+        with pytest.raises(FormatError, match="too large"):
+            parse_graph("999999999999999999999999999999\n")
 
     def test_malformed_edge_line(self):
         with pytest.raises(FormatError, match="line 2"):
@@ -104,6 +108,55 @@ class TestGraph6:
         for text in (GRAPH6_HEADER, GRAPH6_HEADER + "\n", GRAPH6_HEADER + "  \n\n"):
             with pytest.raises(FormatError, match="empty graph6"):
                 parse_graph(text)
+
+
+def small_count(text: str) -> bool:
+    """Whether the text format reads a vertex count of at most 3 digits.
+
+    A larger count allocates n rows and checks n^2 pairs before any edge
+    is read, so the fuzz tests keep clear of it.
+    """
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                return abs(int(line)) < 1000
+            except ValueError:
+                return True
+    return True
+
+
+def parses_or_rejects(text: str) -> None:
+    """Every parser returns a Graph or raises FormatError on the text."""
+    parsers = [lambda t: parse_graph(t, "graph6"), decode_graph6]
+    if small_count(text):
+        parsers.append(parse_graph)
+    for parse in parsers:
+        try:
+            assert isinstance(parse(text), Graph)
+        except FormatError:
+            pass
+
+
+_token = st.one_of(st.integers(-3, 999).map(str), st.text(max_size=3),
+                   st.sampled_from(["#", "1.5", "0x1", "1_0", "+2", "\u0663"]))
+_line = st.lists(_token, max_size=3).map(" ".join)
+graph_texts = st.lists(_line, max_size=10).map("\n".join)
+graph6_texts = st.tuples(st.sampled_from(["", GRAPH6_HEADER, GRAPH6_HEADER + "\n"]),
+                         st.text(st.characters(min_codepoint=32, max_codepoint=127),
+                                 max_size=24)).map("".join)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), graph_texts))
+    def test_text_parses_or_rejects(self, text):
+        parses_or_rejects(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph6_texts)
+    def test_graph6_parses_or_rejects(self, text):
+        parses_or_rejects(text)
 
 
 class TestContentHash:
