@@ -10,11 +10,12 @@ from .graphs import (Graph, PairClass, TwinPartition, classify_pair, complement,
                      star_graph, twin_partition)
 from .formats import decode_graph6, encode_graph6, parse_graph, write_graph
 from .wl import (PairColouring, RefinementTrace, TriangleProfile,
-                 initial_colouring, refine_step, stable_colouring,
+                 initial_colouring, first_round, refine_step, stable_colouring,
                  distinguished, strongly_distinguished, triangle_counts,
                  table1_closed_form, profile_distinguish)
-from .groups import (PermGroup, automorphisms, aut_order, orbits, orbitals,
-                     is_isomorphic, is_vertex_transitive, wreath_order)
+from .groups import (PermGroup, StabiliserChain, automorphisms, aut_order, orbits,
+                     orbitals, is_isomorphic, is_vertex_transitive, stabiliser_chain,
+                     wreath_order)
 from .analysis import (AnalysisReport, ConditionReport, SeparationReport,
                        analyze_product, sabidussi_conditions,
                        verify_wl_separation, check_first_iteration_consequences)

@@ -14,7 +14,7 @@ from typing import Optional
 from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
                      lex_product, product_coords)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
-from .wl import (PairColouring, initial_colouring, refine_step, stable_colouring)
+from .wl import PairColouring, first_round, stable_colouring
 from .expressions import (FreeWreath, GroupExpr, Indeterminate, quantum_to_classical,
                           serialize, simplify, to_tree)
 from .decompose import analyze_vt_product, certified
@@ -94,12 +94,12 @@ def _colour_set(c: PairColouring, pair: tuple[int, int]) -> frozenset[int]:
 
 
 def _separation(c: PairColouring, inner: list, outer: list):
-    inner_colours = set().union(*(_colour_set(c, e) for e in inner)) if inner else set()
-    outer_colours = set().union(*(_colour_set(c, e) for e in outer)) if outer else set()
-    if not (inner_colours & outer_colours):
+    inner_sets = [_colour_set(c, e) for e in inner]
+    outer_sets = [_colour_set(c, e) for e in outer]
+    if not (set().union(*inner_sets) & set().union(*outer_sets)):
         return True, []
-    witnesses = [(e1, e2) for e1 in inner for e2 in outer
-                 if _colour_set(c, e1) & _colour_set(c, e2)]
+    witnesses = [(e1, e2) for e1, s1 in zip(inner, inner_sets)
+                 for e2, s2 in zip(outer, outer_sets) if s1 & s2]
     return False, witnesses
 
 
@@ -121,7 +121,7 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
     twins in the complement of x and inner endpoints with no common
     non-neighbour in y; dually for non-edge pairs.  Returns violations."""
     product = lex_product(x, y)
-    c1 = refine_step(product, initial_colouring(product))
+    c1 = first_round(product)
     inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
     xc = complement(x)
     yc = complement(y)
@@ -129,13 +129,14 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
 
     def sweep(inner: list, outer: list, twin_graph: Graph, common_graph: Graph,
               label: str) -> None:
+        outer_sets = [_colour_set(c1, e2) for e2 in outer]
         for e1 in inner:
             cs1 = _colour_set(c1, e1)
             py1 = product_coords(y, e1[0])[1]
             qy1 = product_coords(y, e1[1])[1]
             common = common_graph.rows[py1] & common_graph.rows[qy1]
-            for e2 in outer:
-                if not (cs1 & _colour_set(c1, e2)):
+            for e2, cs2 in zip(outer, outer_sets):
+                if not (cs1 & cs2):
                     continue
                 px2 = product_coords(y, e2[0])[0]
                 qx2 = product_coords(y, e2[1])[0]

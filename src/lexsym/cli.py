@@ -15,7 +15,7 @@ from pathlib import Path
 from .graphs import Graph, GraphError, lex_product
 from .formats import FormatError, content_hash, parse_graph, write_graph
 from .wl import stable_colouring
-from .groups import DEFAULT_MAX_DEGREE, automorphisms, orbits, orbitals
+from .groups import DEFAULT_MAX_DEGREE, orbits, orbitals, stabiliser_chain
 from .analysis import analyze_product, verify_wl_separation, check_first_iteration_consequences
 from .decompose import qut_expression, split
 from .expressions import serialize, to_tree
@@ -113,7 +113,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "aut":
         g = _load_graph(args.graph_file, args.format)
-        group = automorphisms(g, args.max_degree)
+        group = stabiliser_chain(g, args.max_degree)
         _emit_json({"schema": 1, "order": group.order,
                     "orbits": orbits(group),
                     "orbitals_count": len(orbitals(group))})

@@ -7,9 +7,17 @@ far: rel[d][u] == target_rel[w][image of u].  Automorphism queries use the
 stable pair colouring as the relation (it refines adjacency and every
 automorphism preserves it) with candidates of equal stable diagonal
 colour; isomorphism tests use adjacency, with candidates of equal refined
-vertex colour.  Groups are returned as explicit element lists; orders of
-very symmetric graphs are available separately through a stabiliser-chain
-count that never materialises the elements.
+vertex colour.
+
+Orders, orbits and orbitals come from a stabiliser chain on the base
+0, 1, ..., n-1, walked from level n-1 down to 0, that keeps every
+automorphism it finds as a generator (Schreier-Sims orbit pruning, Seress
+2003; McKay-Piperno 2014): at level k only the candidate
+images outside the orbit of k under the generators found so far are
+searched, each search either adding a generator or refuting the image, and
+the level factor is the orbit size.  The generators generate the whole
+group, so its orbits and orbitals are theirs.  `automorphisms` still
+enumerates every element, for callers that need them all.
 """
 
 from __future__ import annotations
@@ -38,6 +46,19 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return self.elements
+
+
+@dataclass(frozen=True)
+class StabiliserChain:
+    """Aut(g) as the generators and order found by the orbit-pruned chain."""
+
+    n: int
+    order: int
+    generators: tuple[tuple[int, ...], ...]
+
 
 def _check_bound(g: Graph, max_degree: int) -> None:
     if g.n > max_degree:
@@ -48,22 +69,22 @@ def _check_bound(g: Graph, max_degree: int) -> None:
 
 def _search(n: int, candidates: list[list[int]], rel: Sequence[Sequence],
             target_rel: Sequence[Sequence], collect: Optional[list[tuple[int, ...]]],
-            prefix: list[int]) -> bool:
+            prefix: list[int]) -> Optional[tuple[int, ...]]:
     """Extend `prefix` (images of vertices 0..len(prefix)-1) to full bijections.
 
     A candidate w for the next vertex d is kept only if
-    rel[d][u] == target_rel[w][prefix[u]] for every placed vertex u.  With
-    `collect` set, every completion is recorded and the search is
-    exhaustive; otherwise it stops at the first completion and reports
-    whether one exists.
+    rel[d][u] == target_rel[w][prefix[u]] for every placed vertex u.  Without
+    `collect` the search stops at the first completion and returns it (None
+    if there is none); with `collect` set, every completion is recorded, the
+    search is exhaustive and returns None.
     """
     depth = len(prefix)
     if depth == n:
-        if collect is not None:
-            collect.append(tuple(prefix))
-        return True
+        if collect is None:
+            return tuple(prefix)
+        collect.append(tuple(prefix))
+        return None
     row = rel[depth]
-    found = False
     for w in candidates[depth]:
         if w in prefix:
             continue
@@ -73,13 +94,11 @@ def _search(n: int, candidates: list[list[int]], rel: Sequence[Sequence],
                 break
         else:
             prefix.append(w)
-            if _search(n, candidates, rel, target_rel, collect, prefix):
-                found = True
-                if collect is None:
-                    prefix.pop()
-                    return True
+            found = _search(n, candidates, rel, target_rel, collect, prefix)
             prefix.pop()
-    return found
+            if found is not None:
+                return found
+    return None
 
 
 def _stable_relation(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
@@ -89,15 +108,50 @@ def _stable_relation(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     return [[w for w in range(g.n) if diag[w] == diag[v]] for v in range(g.n)], rel
 
 
-def _level(g: Graph, candidates: list[list[int]], rel: list[list[int]], k: int) -> int:
-    """The number of images of k under automorphisms fixing 0..k-1 pointwise.
+def _find(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
-    Each image w is certified by one completing automorphism, searched with
-    w as the only candidate for k.
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
+def _orbit_size(n: int, candidates: list[list[int]], rel: list[list[int]], k: int,
+                parent: list[int], generators: list[tuple[int, ...]]) -> int:
+    """The orbit size of k under the automorphisms fixing 0..k-1 pointwise.
+
+    `parent` is a union-find of the orbits of `generators`, which must all
+    fix 0..k-1.  A candidate image already in the orbit of k is skipped; so
+    is one in the orbit of a refuted image, since orbits of a subgroup never
+    cross those of the group.  Each other candidate is searched with the
+    prefix 0..k-1 fixed: a completion joins the generators and the
+    union-find, no completion refutes the image.  Afterwards the generators'
+    orbit of k is the group's, and it lies within the candidates of k.
     """
     fixed = list(range(k))
-    return sum(_search(g.n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel, None, fixed)
-               for w in candidates[k])
+    refuted: set[int] = set()
+    for w in candidates[k]:
+        if w < k:
+            continue
+        root = _find(parent, w)
+        if root == _find(parent, k) or root in refuted:
+            continue
+        perm = _search(n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel, None, fixed)
+        if perm is None:
+            refuted.add(root)
+            continue
+        generators.append(perm)
+        for v, image in enumerate(perm):
+            if v != image:
+                _union(parent, v, image)
+        refuted = {_find(parent, r) for r in refuted}
+    root = _find(parent, k)
+    return sum(_find(parent, w) == root for w in candidates[k])
 
 
 def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
@@ -110,51 +164,58 @@ def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
     return PermGroup(g.n, tuple(out))
 
 
-def aut_order(g: Graph) -> int:
-    """|Aut(g)| via a stabiliser chain on the base 0, 1, ..., n-1.
+def stabiliser_chain(g: Graph, max_degree: Optional[int] = None) -> StabiliserChain:
+    """Generators and order of Aut(g), levels walked from n-1 down to 0.
 
-    The factor at level k is the number of images of k under automorphisms
-    fixing 0..k-1 pointwise.  This handles graphs whose groups are far too
-    large to enumerate.
+    Every generator found at a deeper level fixes 0..k-1, so it prunes the
+    candidates of level k.  The order is the product of the level orbit
+    sizes.  With `max_degree` set, graphs past the oracle bound are
+    rejected.
     """
+    if max_degree is not None:
+        _check_bound(g, max_degree)
     candidates, rel = _stable_relation(g)
+    parent = list(range(g.n))
+    generators: list[tuple[int, ...]] = []
     order = 1
-    for k in range(g.n):
-        order *= _level(g, candidates, rel, k)
-    return order
+    for k in reversed(range(g.n)):
+        order *= _orbit_size(g.n, candidates, rel, k, parent, generators)
+    return StabiliserChain(g.n, order, tuple(generators))
+
+
+def aut_order(g: Graph) -> int:
+    """|Aut(g)| from the stabiliser chain.
+
+    This handles graphs whose groups are far too large to enumerate.
+    """
+    return stabiliser_chain(g).order
 
 
 def _partition(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Classes of 0..size-1 joined along `links`, ordered by smallest member."""
     parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        _union(parent, a, b)
     classes: dict[int, list[int]] = {}
     for x in range(size):
-        classes.setdefault(find(x), []).append(x)
+        classes.setdefault(_find(parent, x), []).append(x)
     return list(classes.values())
 
 
-def orbits(group: PermGroup) -> list[list[int]]:
-    """Vertex classes under the group action, ordered by smallest member."""
+def orbits(group: PermGroup | StabiliserChain) -> list[list[int]]:
+    """Vertex classes under the group action, ordered by smallest member.
+
+    They are the classes joined by the group's generators.
+    """
     n = group.n
-    return _partition(n, ((v, perm[v]) for perm in group.elements for v in range(n)))
+    return _partition(n, ((v, perm[v]) for perm in group.generators for v in range(n)))
 
 
-def orbitals(group: PermGroup) -> list[list[tuple[int, int]]]:
+def orbitals(group: PermGroup | StabiliserChain) -> list[list[tuple[int, int]]]:
     """Ordered-pair classes under the diagonal action, ordered by smallest pair."""
     n = group.n
     links = ((u * n + v, perm[u] * n + perm[v])
-             for perm in group.elements for u in range(n) for v in range(n))
+             for perm in group.generators for u in range(n) for v in range(n))
     return [[divmod(x, n) for x in cls] for cls in _partition(n * n, links)]
 
 
@@ -205,7 +266,7 @@ def is_isomorphic(a: Graph, b: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> b
     if sorted(col_a) != sorted(col_b):
         return False
     candidates = [[w for w in range(b.n) if col_b[w] == col_a[v]] for v in range(a.n)]
-    return _search(a.n, candidates, _adjacency(a), _adjacency(b), None, [])
+    return _search(a.n, candidates, _adjacency(a), _adjacency(b), None, []) is not None
 
 
 def is_vertex_transitive(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
@@ -214,7 +275,7 @@ def is_vertex_transitive(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool
     if g.n <= 1:
         return True
     candidates, rel = _stable_relation(g)
-    return _level(g, candidates, rel, 0) == g.n
+    return _orbit_size(g.n, candidates, rel, 0, list(range(g.n)), []) == g.n
 
 
 def wreath_order(aut_y_order: int, nx: int, aut_x_order: int) -> int:

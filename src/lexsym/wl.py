@@ -5,6 +5,8 @@ round replaces each pair colour by its exact triangle profile (counts of
 middle-vertex colour combinations), then renames the resulting classes
 canonically: new ids are assigned in order of first occurrence scanning
 pairs row-major.  Iterating to a fixed point yields the stable colouring.
+The ids depend only on the partition, so any key that induces the same
+partition as the triangle profiles gives the same colouring.
 
 The round encodes middle vertex z of the pair (u, v) as the single int
 c(u,z)*k + c(z,v), with k the number of colours.  Because 0 <= c(z,v) < k
@@ -12,6 +14,13 @@ the code is injective, so the sorted codes of a pair are its triangle
 profile written as a multiset: two pairs get equal keys exactly when their
 explicit counts are equal, and the first-occurrence rename gives the same
 ids, round for round, as counting would.
+
+The first round is computed in closed form.  Under the diagonal / edge /
+non-edge colouring, the profile of (u, v) is fixed by four values: its
+initial colour, deg u, deg v and |N(u) & N(v)| (the general form of the
+paper's Table 1 counts), and the profile gives those four values back.
+Keying pairs by them splits pairs as the profiles do, at O(n^2) word
+operations instead of the O(n^3) of a general round.
 """
 
 from __future__ import annotations
@@ -137,6 +146,29 @@ def triangle_counts(g: Graph, c: PairColouring, p: int, q: int) -> TriangleProfi
     return TriangleProfile(tuple(sorted(counts.items())))
 
 
+def first_round(g: Graph) -> PairColouring:
+    """The refinement of the initial colouring, in closed form.
+
+    For u != v the middle vertices other than u and v split as
+    |N(u) & N(v)| edge-edge, deg u - |N(u) & N(v)| - [uv] edge-non-edge,
+    its mirror with deg v, and the rest non-edge-non-edge; u and v add one
+    fixed code each.  The diagonal pair (u, u) sees deg u edge-edge and
+    n - 1 - deg u non-edge-non-edge.  So the key (initial colour code,
+    deg u, deg v, |N(u) & N(v)|) splits pairs exactly as the profiles do,
+    and the rename gives the ids `refine_step(g, initial_colouring(g))`
+    gives.
+    """
+    n = g.n
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
+    raw = []
+    for u in range(n):
+        row, du = rows[u], degs[u]
+        raw.extend((0 if u == v else 1 if row >> v & 1 else 2, du, degs[v],
+                    (row & rows[v]).bit_count()) for v in range(n))
+    return _canonical_rename(raw, n)
+
+
 def refine_step(g: Graph, c: PairColouring) -> PairColouring:
     """One refinement round: split classes by exact triangle profiles.
 
@@ -163,14 +195,14 @@ def stable_colouring(g: Graph) -> RefinementTrace:
     """Refine the initial colouring until the induced partition repeats.
 
     Canonical renaming makes equal partitions equal as colour tuples, so
-    stability is detected by tuple equality of consecutive rounds.
+    stability is detected by tuple equality of consecutive rounds.  The
+    first round is `first_round`; later rounds are `refine_step`.
     """
-    rounds = [initial_colouring(g)]
+    rounds = [initial_colouring(g), first_round(g)]
     for _ in range(g.n * g.n + 1):
-        nxt = refine_step(g, rounds[-1])
-        rounds.append(nxt)
-        if nxt.colours == rounds[-2].colours:
+        if rounds[-1].colours == rounds[-2].colours:
             return RefinementTrace(tuple(rounds))
+        rounds.append(refine_step(g, rounds[-1]))
     raise AssertionError("refinement failed to stabilise within n^2 rounds")
 
 

@@ -35,3 +35,12 @@ def graph_with_permutation(draw, min_n: int = 1, max_n: int = 6):
 
 def apply_permutation(g: Graph, perm) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def petersen_graph() -> Graph:
+    """Kneser graph on the 2-subsets of a 5-set, disjointness adjacency."""
+    from itertools import combinations
+    subsets = list(combinations(range(5), 2))
+    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)
+             if not set(subsets[i]) & set(subsets[j])]
+    return Graph.from_edges(10, edges)

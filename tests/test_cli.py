@@ -1,10 +1,12 @@
 """Command-line verbs, JSON payloads, and exit codes."""
 
 import json
+from itertools import combinations
 
 import pytest
 
-from lexsym import (complete_graph, cycle_graph, disjoint_union, empty_graph,
+from conftest import petersen_graph
+from lexsym import (Graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
                     encode_graph6, lex_product, parse_graph, star_graph,
                     write_graph)
 from lexsym.cli import run
@@ -18,6 +20,13 @@ def write_file(tmp_path):
         path.write_text(write_graph(graph) if graph is not None else text)
         return str(path)
     return _write
+
+
+def paley_graph(q):
+    """Paley graph on Z_q: u ~ v when v - u is a nonzero square mod q."""
+    squares = {i * i % q for i in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u, v in combinations(range(q), 2)
+                                if (v - u) % q in squares])
 
 
 def run_json(capsys, argv):
@@ -52,6 +61,18 @@ class TestAut:
         assert payload["order"] == 8
         assert payload["orbits"] == [[0, 1, 2, 3]]
         assert payload["orbitals_count"] == 3
+
+    @pytest.mark.parametrize("name, graph, golden", [
+        ("petersen", petersen_graph(), '{"schema": 1, "order": 120, "orbits": '
+         '[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]], "orbitals_count": 3}\n'),
+        ("paley13", paley_graph(13), '{"schema": 1, "order": 78, "orbits": '
+         '[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]], "orbitals_count": 3}\n'),
+        ("empty0", empty_graph(0), '{"schema": 1, "order": 1, "orbits": [], '
+         '"orbitals_count": 0}\n'),
+    ])
+    def test_golden(self, capsys, write_file, name, graph, golden):
+        assert run(["aut", write_file(f"{name}.g", graph)]) == 0
+        assert capsys.readouterr().out == golden
 
     def test_bound_exceeded(self, capsys, write_file):
         path = write_file("big.g", empty_graph(15))

@@ -6,22 +6,34 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import graphs, graph_with_permutation, apply_permutation
+from conftest import apply_permutation, graph_with_permutation, graphs, petersen_graph
 from lexsym import (Graph, automorphisms, aut_order, complete_graph,
                     complement, cycle_graph, empty_graph, is_isomorphic,
                     is_vertex_transitive, lex_product, orbits, orbitals,
                     path_graph, star_graph, wreath_order)
-from lexsym.graphs import GraphError
-from lexsym.groups import OracleBoundError, refined_vertex_colours
+from lexsym.census import unlabelled_graphs_upto
+from lexsym.graphs import GraphError, disjoint_union
+from lexsym.groups import (OracleBoundError, _search, _stable_relation,
+                           refined_vertex_colours, stabiliser_chain)
 
 
-def petersen_graph() -> Graph:
-    """Kneser graph on the 2-subsets of a 5-set, disjointness adjacency."""
-    from itertools import combinations
-    subsets = list(combinations(range(5), 2))
-    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)
-             if not set(subsets[i]) & set(subsets[j])]
-    return Graph.from_edges(10, edges)
+def reference_aut_order(g: Graph) -> int:
+    """The unpruned level product on the base 0, 1, ..., n-1: the factor at
+    level k counts the candidate images of k that one search each, with
+    0..k-1 fixed, completes to an automorphism.  `aut_order` must agree."""
+    candidates, rel = _stable_relation(g)
+    order = 1
+    for k in range(g.n):
+        order *= sum(_search(g.n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel,
+                             None, list(range(k))) is not None
+                     for w in candidates[k])
+    return order
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return apply_permutation(g, perm)
 
 
 class TestAutomorphisms:
@@ -81,6 +93,43 @@ class TestAutOrder:
 
     def test_product_order(self):
         assert aut_order(lex_product(cycle_graph(4), complete_graph(2))) == 128
+
+
+class TestStabiliserChain:
+    """The orbit-pruned chain against the unpruned level product and against
+    the orbits of the enumerated group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=0, max_n=8))
+    def test_matches_reference_on_random_graphs(self, g):
+        assert aut_order(g) == reference_aut_order(g)
+
+    def test_matches_reference_on_the_census(self):
+        for g in unlabelled_graphs_upto(7):
+            assert aut_order(g) == reference_aut_order(g), g
+
+    @pytest.mark.parametrize("x, y", [
+        (cycle_graph(5), cycle_graph(5)),
+        (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0]),
+        (cycle_graph(7), cycle_graph(6)),
+    ], ids=["C5[C5]", "C4[3K2]", "C7[C6]"])
+    def test_matches_reference_on_relabelled_products(self, x, y):
+        g = relabelled(lex_product(x, y), 1)
+        assert aut_order(g) == reference_aut_order(g)
+
+    def test_generator_orbits_on_the_census(self):
+        for g in unlabelled_graphs_upto(7):
+            chain = stabiliser_chain(g)
+            group = automorphisms(g)
+            assert chain.order == group.order
+            assert set(chain.generators) <= set(group.elements)
+            assert orbits(chain) == orbits(group), g
+            assert len(orbitals(chain)) == len(orbitals(group)), g
+
+    def test_bound_only_when_asked(self):
+        with pytest.raises(OracleBoundError):
+            stabiliser_chain(empty_graph(15), max_degree=14)
+        assert stabiliser_chain(empty_graph(15)).order == 1307674368000
 
 
 class TestSearchPruning:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import graphs, graph_with_permutation, apply_permutation
 from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
                     path_graph, star_graph,
-                    initial_colouring, refine_step, stable_colouring,
+                    initial_colouring, first_round, refine_step, stable_colouring,
                     distinguished, strongly_distinguished, triangle_counts,
                     table1_closed_form, profile_distinguish)
+from lexsym.census import unlabelled_graphs_upto
 from lexsym.graphs import GraphError
 from lexsym.wl import _canonical_rename, edge_nonedge_colours
 
@@ -147,6 +148,12 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("nx, ny", [(7, 6), (8, 7)])
     def test_cycle_products(self, nx, ny):
         assert_rounds_match_reference(lex_product(cycle_graph(nx), cycle_graph(ny)))
+
+
+class TestFirstRound:
+    def test_equals_one_general_round_on_the_census(self):
+        for g in unlabelled_graphs_upto(7):
+            assert first_round(g) == refine_step(g, initial_colouring(g)), g
 
 
 class TestDistinguishing:
