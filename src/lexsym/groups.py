@@ -251,18 +251,22 @@ def _adjacency(g: Graph) -> list[str]:
 
 
 def is_isomorphic(a: Graph, b: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
-    """Adjacency-preserving bijection existence, by the same backtracking search.
-
-    Candidate images are restricted by canonical refined vertex colours,
-    which agree between isomorphic graphs; stable pair-colour ids are not
-    comparable across graphs, so the relation here is adjacency.  Graphs of
-    different vertex or edge counts are told apart before the bound applies.
-    """
+    """Adjacency-preserving bijection existence.  Graphs of different vertex
+    or edge counts are told apart before the bound applies; the rest is
+    `_isomorphic` on their refined vertex colours."""
     if a.n != b.n or a.edge_count() != b.edge_count():
         return False
     _check_bound(a, max_degree)
-    col_a = refined_vertex_colours(a)
-    col_b = refined_vertex_colours(b)
+    return _isomorphic(a, refined_vertex_colours(a), b, refined_vertex_colours(b))
+
+
+def _isomorphic(a: Graph, col_a: list[int], b: Graph, col_b: list[int]) -> bool:
+    """Isomorphism by the backtracking search, given refined vertex colours.
+
+    Candidate images are restricted by those colours, which agree between
+    isomorphic graphs; stable pair-colour ids are not comparable across
+    graphs, so the relation here is adjacency.
+    """
     if sorted(col_a) != sorted(col_b):
         return False
     candidates = [[w for w in range(b.n) if col_b[w] == col_a[v]] for v in range(a.n)]

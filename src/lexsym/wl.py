@@ -4,9 +4,11 @@ A colouring assigns an id to every ordered vertex pair.  One refinement
 round replaces each pair colour by its exact triangle profile (counts of
 middle-vertex colour combinations), then renames the resulting classes
 canonically: new ids are assigned in order of first occurrence scanning
-pairs row-major.  Iterating to a fixed point yields the stable colouring.
-The ids depend only on the partition, so any key that induces the same
-partition as the triangle profiles gives the same colouring.
+pairs row-major.  The ids depend only on the partition, so any key that
+induces the same partition as the triangle profiles gives the same
+colouring.  Each round refines the last, so the first round that does not
+raise the class count (at most n^2) repeats the partition and the colours:
+that is the stable colouring.
 
 The round encodes middle vertex z of the pair (u, v) as the single int
 c(u,z)*k + c(z,v), with k the number of colours.  Because 0 <= c(z,v) < k
@@ -59,18 +61,11 @@ class PairColouring:
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """All rounds from the initial colouring up to (and including) the round
-    that certifies stability.  The last two rounds induce the same partition."""
+    """The stable colouring, and the number of rounds that raised the class
+    count on the way to it (0 when the initial colouring is stable)."""
 
-    rounds: tuple[PairColouring, ...]
-
-    @property
-    def stable_round(self) -> int:
-        return max(len(self.rounds) - 2, 0)
-
-    @property
-    def stable(self) -> PairColouring:
-        return self.rounds[self.stable_round]
+    stable: PairColouring
+    stable_round: int
 
 
 @dataclass(frozen=True)
@@ -192,18 +187,20 @@ def refine_step(g: Graph, c: PairColouring) -> PairColouring:
 
 
 def stable_colouring(g: Graph) -> RefinementTrace:
-    """Refine the initial colouring until the induced partition repeats.
-
-    Canonical renaming makes equal partitions equal as colour tuples, so
-    stability is detected by tuple equality of consecutive rounds.  The
-    first round is `first_round`; later rounds are `refine_step`.
+    """Refine from `first_round` with `refine_step` until a round keeps the
+    class count.  The initial count is the diagonal, plus the edges if
+    any, plus the non-edges if any; the initial colouring is not built.
     """
-    rounds = [initial_colouring(g), first_round(g)]
-    for _ in range(g.n * g.n + 1):
-        if rounds[-1].colours == rounds[-2].colours:
-            return RefinementTrace(tuple(rounds))
-        rounds.append(refine_step(g, rounds[-1]))
-    raise AssertionError("refinement failed to stabilise within n^2 rounds")
+    pairs = g.n * (g.n - 1) // 2
+    edges = g.edge_count()
+    count = (g.n > 0) + (edges > 0) + (edges < pairs)
+    current = first_round(g)
+    stable_round = 0
+    while current.num_colours > count:
+        count = current.num_colours
+        stable_round += 1
+        current = refine_step(g, current)
+    return RefinementTrace(current, stable_round)
 
 
 def distinguished(c: PairColouring, p1: tuple[int, int], p2: tuple[int, int]) -> bool:

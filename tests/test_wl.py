@@ -34,10 +34,20 @@ def reference_refine_step(g, c):
     return _canonical_rename(raw, n)
 
 
+def reference_rounds(g):
+    """The rounds from `initial_colouring` by `reference_refine_step`, up to
+    and including the first round equal to the one before it."""
+    rounds = [initial_colouring(g)]
+    while len(rounds) < 2 or rounds[-1] != rounds[-2]:
+        rounds.append(reference_refine_step(g, rounds[-1]))
+    return rounds
+
+
 def assert_rounds_match_reference(g):
+    rounds = reference_rounds(g)
     trace = stable_colouring(g)
-    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
-        assert reference_refine_step(g, prev) == cur
+    assert trace.stable == rounds[-2]
+    assert trace.stable_round == len(rounds) - 2
 
 
 @st.composite
@@ -99,8 +109,8 @@ class TestRefinement:
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=1, max_n=6))
     def test_each_round_refines_the_previous(self, g):
-        trace = stable_colouring(g)
-        for prev, cur in zip(trace.rounds, trace.rounds[1:]):
+        rounds = reference_rounds(g)
+        for prev, cur in zip(rounds, rounds[1:]):
             to_old = {}
             for p, old in enumerate(prev.colours):
                 new = cur.colours[p]
@@ -109,10 +119,23 @@ class TestRefinement:
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=1, max_n=6))
     def test_last_two_rounds_equal(self, g):
-        trace = stable_colouring(g)
-        assert trace.rounds[-1].colours == trace.rounds[-2].colours
+        rounds = reference_rounds(g)
+        assert rounds[-1].colours == rounds[-2].colours
         # the stable colouring is a fixed point of one more round
+        trace = stable_colouring(g)
+        assert trace.stable == rounds[-1]
         assert refine_step(g, trace.stable).colours == trace.stable.colours
+
+    @pytest.mark.parametrize("g, classes", [
+        (empty_graph(0), 0), (complete_graph(1), 1), (complete_graph(5), 2),
+        (empty_graph(5), 2)])
+    def test_stable_from_round_zero(self, g, classes):
+        """Graphs whose initial colouring is stable, one per term of the
+        closed-form round-0 class count."""
+        assert initial_colouring(g).num_colours == classes
+        trace = stable_colouring(g)
+        assert trace.stable_round == 0
+        assert trace.stable == initial_colouring(g)
 
     @settings(max_examples=30, deadline=None)
     @given(graph_with_permutation(max_n=5))
