@@ -10,7 +10,8 @@ from .graphs import (Graph, PairClass, TwinPartition, classify_pair, complement,
                      star_graph, twin_partition)
 from .formats import decode_graph6, encode_graph6, parse_graph, write_graph
 from .wl import (PairColouring, RefinementTrace, TriangleProfile,
-                 initial_colouring, first_round, refine_step, stable_colouring,
+                 initial_colouring, first_round, refine_step, refinements,
+                 stable_colouring,
                  distinguished, strongly_distinguished, triangle_counts,
                  table1_closed_form, profile_distinguish)
 from .groups import (PermGroup, StabiliserChain, automorphisms, aut_order, orbits,

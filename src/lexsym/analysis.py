@@ -2,8 +2,9 @@
 
 Decides whether the symmetry of x[y] factors as a (free) wreath product of
 the factor symmetries, verifies the separation of inner and outer
-(non-)edges by the stable colouring, and assembles a serializable report
-with a symbolic expression and an optional brute-force cross-check.
+(non-)edges by the 2-WL refinement (stopping at the first round that shows
+it), and assembles a serializable report with a symbolic expression and an
+optional brute-force cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
                      lex_product, product_coords)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
-from .wl import PairColouring, first_round, stable_colouring
+from .wl import PairColouring, first_round, refinements
 from .expressions import (FreeWreath, GroupExpr, Indeterminate, quantum_to_classical,
                           serialize, simplify, to_tree)
 from .decompose import analyze_vt_product, certified
@@ -105,10 +106,28 @@ def _separation(c: PairColouring, inner: list, outer: list):
 
 def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     """Check that the stable colouring of x[y] strongly separates inner from
-    outer edges and inner from outer non-edges."""
+    outer edges and inner from outer non-edges.
+
+    The rounds of `refinements` are walked, and at each the colours of the
+    inner and outer pairs (both orientations) are tested for disjointness,
+    once for edges and once for non-edges.  A pair's colour in one round
+    fixes its colour in the round before, so sets disjoint in one round stay
+    disjoint in every later round, the stable one included: the first round
+    where both tests pass decides that x[y] separates.  When no round does,
+    the witnesses are read from the last round, the stable colouring.
+    """
     product = lex_product(x, y)
-    c = stable_colouring(product).stable
+    n = product.n
     inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
+    # flat colour indices of both orientations of each pair
+    flat_inner_e, flat_outer_e, flat_inner_ne, flat_outer_ne = (
+        [i for p, q in pairs for i in (p * n + q, q * n + p)]
+        for pairs in (inner_e, outer_e, inner_ne, outer_ne))
+    for c in refinements(product):
+        colour = c.colours.__getitem__
+        if (set(map(colour, flat_inner_e)).isdisjoint(map(colour, flat_outer_e))
+                and set(map(colour, flat_inner_ne)).isdisjoint(map(colour, flat_outer_ne))):
+            return SeparationReport(True, True, ())
     edges_ok, edge_witnesses = _separation(c, inner_e, outer_e)
     nonedges_ok, nonedge_witnesses = _separation(c, inner_ne, outer_ne)
     return SeparationReport(edges_ok, nonedges_ok,

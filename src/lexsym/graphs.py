@@ -89,6 +89,18 @@ class Graph:
             raise GraphError(f"vertex {u} out of range for n={self.n}")
 
 
+def _trusted(n: int, rows: tuple[int, ...],
+             labels: Optional[tuple[str, ...]] = None) -> Graph:
+    """A `Graph` from rows that are symmetric, loop-free and in range by
+    construction, without the O(n^2) checks of `Graph.__post_init__`.  Only
+    for constructors that derive the rows from valid graphs."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    object.__setattr__(g, "labels", labels)
+    return g
+
+
 def empty_graph(n: int) -> Graph:
     return Graph.from_edges(n, [])
 
@@ -115,8 +127,8 @@ def star_graph(leaves: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ g.rows[u]) & ~(1 << u) for u in range(g.n)),
-                 g.labels)
+    return _trusted(g.n, tuple((full ^ g.rows[u]) & ~(1 << u) for u in range(g.n)),
+                    g.labels)
 
 
 def disjoint_union(gs: Sequence[Graph]) -> tuple[Graph, list[int]]:
@@ -130,7 +142,7 @@ def disjoint_union(gs: Sequence[Graph]) -> tuple[Graph, list[int]]:
         offsets.append(total)
         rows.extend(r << total for r in g.rows)
         total += g.n
-    return Graph(total, tuple(rows)), offsets
+    return _trusted(total, tuple(rows)), offsets
 
 
 def lex_product(x: Graph, y: Graph) -> Graph:
@@ -149,7 +161,7 @@ def lex_product(x: Graph, y: Graph) -> Graph:
                 outer |= y_full << (a2 * ny)
         for b in range(ny):
             rows.append(outer | (y.rows[b] << (a * ny)))
-    return Graph(x.n * ny, tuple(rows))
+    return _trusted(x.n * ny, tuple(rows))
 
 
 def product_coords(y: Graph, p: int) -> tuple[int, int]:

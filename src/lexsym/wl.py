@@ -8,7 +8,15 @@ pairs row-major.  The ids depend only on the partition, so any key that
 induces the same partition as the triangle profiles gives the same
 colouring.  Each round refines the last, so the first round that does not
 raise the class count (at most n^2) repeats the partition and the colours:
-that is the stable colouring.
+that is the stable colouring.  `refinements` yields the rounds up to it,
+and `stable_colouring` keeps the last.
+
+Because each round keys a pair by its previous colour (the first round by
+its initial code), a pair's colour in one round fixes its colour in every
+earlier round.  Two sets of pairs whose colours are disjoint in some round
+therefore stay disjoint in every later round, the stable one included, so
+a caller testing for such a separation may stop at the first round that
+shows it.
 
 The round encodes middle vertex z of the pair (u, v) as the single int
 c(u,z)*k + c(z,v), with k the number of colours.  Because 0 <= c(z,v) < k
@@ -30,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import Graph, GraphError, complement, classify_pair, PairClass
 
@@ -186,20 +194,28 @@ def refine_step(g: Graph, c: PairColouring) -> PairColouring:
     return _canonical_rename(raw, n)
 
 
-def stable_colouring(g: Graph) -> RefinementTrace:
-    """Refine from `first_round` with `refine_step` until a round keeps the
-    class count.  The initial count is the diagonal, plus the edges if
-    any, plus the non-edges if any; the initial colouring is not built.
+def refinements(g: Graph) -> Iterator[PairColouring]:
+    """Yield `first_round(g)`, then each `refine_step` of the last round, up
+    to and including the first round that does not raise the class count.
+    The initial count is the diagonal, plus the edges if any, plus the
+    non-edges if any; the initial colouring is not built.
     """
     pairs = g.n * (g.n - 1) // 2
     edges = g.edge_count()
     count = (g.n > 0) + (edges > 0) + (edges < pairs)
     current = first_round(g)
-    stable_round = 0
+    yield current
     while current.num_colours > count:
         count = current.num_colours
-        stable_round += 1
         current = refine_step(g, current)
+        yield current
+
+
+def stable_colouring(g: Graph) -> RefinementTrace:
+    """The last of `refinements(g)`, and the number of `refine_step` rounds
+    it took."""
+    for stable_round, current in enumerate(refinements(g)):
+        pass
     return RefinementTrace(current, stable_round)
 
 

@@ -1,16 +1,46 @@
 """Wreath-condition verdicts, separation checks, and reports."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 
+import lexsym.wl
 from conftest import graphs
 from lexsym import (analyze_product, aut_order, complement, complete_graph,
                     cycle_graph, empty_graph, lex_product, path_graph,
-                    sabidussi_conditions, serialize, star_graph,
+                    sabidussi_conditions, serialize, stable_colouring, star_graph,
                     verify_wl_separation, wreath_order,
                     check_first_iteration_consequences)
+from lexsym.analysis import SeparationReport, _pair_buckets, _separation
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.expressions import Indeterminate, classical_order, degree
+
+
+def reference_verify_wl_separation(x, y):
+    """The separation check on the stable colouring alone, with no early
+    exit.  `verify_wl_separation` must return the same report."""
+    product = lex_product(x, y)
+    c = stable_colouring(product).stable
+    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
+    edges_ok, edge_witnesses = _separation(c, inner_e, outer_e)
+    nonedges_ok, nonedge_witnesses = _separation(c, inner_ne, outer_ne)
+    return SeparationReport(edges_ok, nonedges_ok,
+                            tuple(edge_witnesses + nonedge_witnesses))
+
+
+@lru_cache(maxsize=None)
+def census_pairs():
+    """Census factor pairs of at most 7 vertices with products of at most 16
+    vertices, split by whether both conditions hold."""
+    census = unlabelled_graphs_upto(7)
+    holding, failing = [], []
+    for x in census:
+        for y in census:
+            if x.n * y.n <= 16:
+                holds = sabidussi_conditions(x, y).wreath_holds
+                (holding if holds else failing).append((x, y))
+    return holding, failing
 
 
 class TestConditions:
@@ -54,6 +84,38 @@ class TestSeparation:
         assert rep.inner_outer_edges_separated
         assert not rep.inner_outer_nonedges_separated
         assert len(rep.failing_witnesses) > 0
+
+    def test_equals_the_reference_on_census_pairs(self):
+        # products of at most 12 vertices: 3041 pairs where both conditions
+        # hold, separated at rounds 0, 1 and 2, and 390 failing pairs, each
+        # with witnesses read from stable rounds 0, 1 and 2
+        holding, failing = ([(x, y) for x, y in pairs if x.n * y.n <= 12]
+                            for pairs in census_pairs())
+        assert (len(holding), len(failing)) == (3041, 390)
+        for x, y in holding + failing:
+            assert verify_wl_separation(x, y) == reference_verify_wl_separation(x, y), (
+                x.rows, y.rows)
+        assert all(reference_verify_wl_separation(x, y).failing_witnesses
+                   for x, y in failing)
+
+    def test_refine_step_calls_on_criterion_2_pairs(self, monkeypatch):
+        # refinement stops at the first separating round: 1136 refine_step
+        # calls over the 6132 criterion 2 pairs, against 10,601 to reach
+        # every stable colouring
+        calls = 0
+        refine_step = lexsym.wl.refine_step
+
+        def counting(g, c):
+            nonlocal calls
+            calls += 1
+            return refine_step(g, c)
+
+        monkeypatch.setattr(lexsym.wl, "refine_step", counting)
+        holding, _ = census_pairs()
+        assert len(holding) == 6132
+        for x, y in holding:
+            verify_wl_separation(x, y)
+        assert calls == 1136
 
     def test_first_iteration_consequences_clean(self):
         assert check_first_iteration_consequences(cycle_graph(4), complete_graph(2)) == []

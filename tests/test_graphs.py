@@ -130,6 +130,31 @@ class TestLexProduct:
         assert lhs == rhs
 
 
+class TestTrustedConstructors:
+    """`lex_product`, `complement` and `disjoint_union` skip the checks of
+    `Graph.__post_init__`; the graphs they build must pass them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4), graphs(max_n=5))
+    def test_outputs_pass_the_public_checks(self, x, y, g):
+        for built in (lex_product(x, y), complement(g), disjoint_union([x, y, g])[0]):
+            assert Graph(built.n, built.rows) == built
+            assert hash(Graph(built.n, built.rows)) == hash(built)
+
+    def test_complement_keeps_labels(self):
+        g = Graph.from_edges(3, [(0, 1)], labels=["a", "b", "c"])
+        assert complement(g).labels == ("a", "b", "c")
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=2, max_n=6), st.data())
+    def test_public_constructor_rejects_asymmetric_rows(self, g, data):
+        u, v = data.draw(st.permutations(range(g.n)))[:2]
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        with pytest.raises(GraphError, match="not symmetric"):
+            Graph(g.n, tuple(rows))
+
+
 class TestClassifyPair:
     def test_all_classes(self):
         x, y = cycle_graph(4), complete_graph(2)

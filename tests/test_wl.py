@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import graphs, graph_with_permutation, apply_permutation
 from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
                     path_graph, star_graph,
-                    initial_colouring, first_round, refine_step, stable_colouring,
+                    initial_colouring, first_round, refine_step, refinements,
+                    stable_colouring,
                     distinguished, strongly_distinguished, triangle_counts,
                     table1_closed_form, profile_distinguish)
 from lexsym.census import unlabelled_graphs_upto
@@ -41,6 +42,13 @@ def reference_rounds(g):
     while len(rounds) < 2 or rounds[-1] != rounds[-2]:
         rounds.append(reference_refine_step(g, rounds[-1]))
     return rounds
+
+
+def refines(finer, coarser):
+    """True when every colour class of `finer` lies inside one of `coarser`."""
+    to_coarse = {}
+    return all(to_coarse.setdefault(a, b) == b
+               for a, b in zip(finer.colours, coarser.colours))
 
 
 def assert_rounds_match_reference(g):
@@ -111,10 +119,7 @@ class TestRefinement:
     def test_each_round_refines_the_previous(self, g):
         rounds = reference_rounds(g)
         for prev, cur in zip(rounds, rounds[1:]):
-            to_old = {}
-            for p, old in enumerate(prev.colours):
-                new = cur.colours[p]
-                assert to_old.setdefault(new, old) == old
+            assert refines(cur, prev)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=1, max_n=6))
@@ -154,6 +159,38 @@ class TestRefinement:
     def test_size_mismatch_rejected(self):
         with pytest.raises(GraphError):
             refine_step(cycle_graph(4), initial_colouring(cycle_graph(5)))
+
+
+def assert_refinements_chain(g):
+    """Each round of `refinements(g)` refines the one before it, the first
+    refines the initial colouring, and the last round and the number of
+    `refine_step` rounds are those of `stable_colouring`."""
+    rounds = [initial_colouring(g), *refinements(g)]
+    for prev, cur in zip(rounds, rounds[1:]):
+        assert refines(cur, prev), g
+    trace = stable_colouring(g)
+    assert rounds[-1] == trace.stable
+    assert len(rounds) - 2 == trace.stable_round
+
+
+class TestRefinements:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=0, max_n=8))
+    def test_chain_on_random_graphs(self, g):
+        assert_refinements_chain(g)
+
+    def test_chain_on_the_census(self):
+        for g in unlabelled_graphs_upto(7):
+            assert_refinements_chain(g)
+
+    def test_stops_at_the_first_round_that_keeps_the_count(self):
+        # C4 is stable at its three initial classes, so no refine_step runs;
+        # P5 splits further in the second round and keeps its count in the
+        # third, which ends the walk
+        assert [c.num_colours for c in refinements(cycle_graph(4))] == [3]
+        rounds = list(refinements(path_graph(5)))
+        assert [c.num_colours for c in rounds] == [11, 13, 13]
+        assert rounds[-1] == rounds[-2]
 
 
 class TestReferenceKernel:
