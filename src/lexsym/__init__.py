@@ -11,9 +11,7 @@ from .graphs import (Graph, PairClass, TwinPartition, classify_pair, complement,
 from .formats import decode_graph6, encode_graph6, parse_graph, write_graph
 from .wl import (PairColouring, RefinementTrace, TriangleProfile,
                  initial_colouring, first_round, refine_step, refinements,
-                 stable_colouring,
-                 distinguished, strongly_distinguished, triangle_counts,
-                 table1_closed_form, profile_distinguish)
+                 stable_colouring, triangle_counts, table1_closed_form)
 from .groups import (PermGroup, StabiliserChain, automorphisms, aut_order, orbits,
                      orbitals, is_isomorphic, is_vertex_transitive, stabiliser_chain,
                      wreath_order)

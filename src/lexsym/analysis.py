@@ -2,9 +2,10 @@
 
 Decides whether the symmetry of x[y] factors as a (free) wreath product of
 the factor symmetries, verifies the separation of inner and outer
-(non-)edges by the 2-WL refinement (stopping at the first round that shows
-it), and assembles a serializable report with a symbolic expression and an
-optional brute-force cross-check.
+(non-)edges by the 2-WL refinement, stopping at the first round that shows
+it (`_witnesses` is the one path listing the pairs left unseparated), and
+assembles a serializable report with a symbolic expression and an optional
+brute-force cross-check.
 """
 
 from __future__ import annotations
@@ -94,14 +95,12 @@ def _colour_set(c: PairColouring, pair: tuple[int, int]) -> frozenset[int]:
     return frozenset((c.colour(p, q), c.colour(q, p)))
 
 
-def _separation(c: PairColouring, inner: list, outer: list):
-    inner_sets = [_colour_set(c, e) for e in inner]
+def _witnesses(c: PairColouring, inner: list, outer: list) -> list:
+    """The (inner, outer) pairs, inner-major, whose colour sets (both
+    orientations) meet under `c`: the pairs `c` does not strongly separate."""
     outer_sets = [_colour_set(c, e) for e in outer]
-    if not (set().union(*inner_sets) & set().union(*outer_sets)):
-        return True, []
-    witnesses = [(e1, e2) for e1, s1 in zip(inner, inner_sets)
-                 for e2, s2 in zip(outer, outer_sets) if s1 & s2]
-    return False, witnesses
+    return [(e1, e2) for e1 in inner for s1 in [_colour_set(c, e1)]
+            for e2, s2 in zip(outer, outer_sets) if s1 & s2]
 
 
 def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
@@ -114,7 +113,7 @@ def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     fixes its colour in the round before, so sets disjoint in one round stay
     disjoint in every later round, the stable one included: the first round
     where both tests pass decides that x[y] separates.  When no round does,
-    the witnesses are read from the last round, the stable colouring.
+    `_witnesses` reads the failing pairs from the last, stable round.
     """
     product = lex_product(x, y)
     n = product.n
@@ -128,9 +127,9 @@ def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
         if (set(map(colour, flat_inner_e)).isdisjoint(map(colour, flat_outer_e))
                 and set(map(colour, flat_inner_ne)).isdisjoint(map(colour, flat_outer_ne))):
             return SeparationReport(True, True, ())
-    edges_ok, edge_witnesses = _separation(c, inner_e, outer_e)
-    nonedges_ok, nonedge_witnesses = _separation(c, inner_ne, outer_ne)
-    return SeparationReport(edges_ok, nonedges_ok,
+    edge_witnesses = _witnesses(c, inner_e, outer_e)
+    nonedge_witnesses = _witnesses(c, inner_ne, outer_ne)
+    return SeparationReport(not edge_witnesses, not nonedge_witnesses,
                             tuple(edge_witnesses + nonedge_witnesses))
 
 
@@ -142,32 +141,19 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
     product = lex_product(x, y)
     c1 = first_round(product)
     inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
-    xc = complement(x)
-    yc = complement(y)
     violations: list[str] = []
-
-    def sweep(inner: list, outer: list, twin_graph: Graph, common_graph: Graph,
-              label: str) -> None:
-        outer_sets = [_colour_set(c1, e2) for e2 in outer]
-        for e1 in inner:
-            cs1 = _colour_set(c1, e1)
-            py1 = product_coords(y, e1[0])[1]
-            qy1 = product_coords(y, e1[1])[1]
-            common = common_graph.rows[py1] & common_graph.rows[qy1]
-            for e2, cs2 in zip(outer, outer_sets):
-                if not (cs1 & cs2):
-                    continue
-                px2 = product_coords(y, e2[0])[0]
-                qx2 = product_coords(y, e2[1])[0]
-                if twin_graph.rows[px2] != twin_graph.rows[qx2]:
-                    violations.append(
-                        f"{label}: outer endpoints {px2},{qx2} are not twins")
-                if common:
-                    violations.append(
-                        f"{label}: inner endpoints {py1},{qy1} share a witness vertex")
-
-    sweep(inner_e, outer_e, xc, yc, "edges")
-    sweep(inner_ne, outer_ne, x, y, "nonedges")
+    for inner, outer, twin_graph, common_graph, label in (
+            (inner_e, outer_e, complement(x), complement(y), "edges"),
+            (inner_ne, outer_ne, x, y, "nonedges")):
+        for (p1, q1), (p2, q2) in _witnesses(c1, inner, outer):
+            py1, qy1 = product_coords(y, p1)[1], product_coords(y, q1)[1]
+            px2, qx2 = product_coords(y, p2)[0], product_coords(y, q2)[0]
+            if twin_graph.rows[px2] != twin_graph.rows[qx2]:
+                violations.append(
+                    f"{label}: outer endpoints {px2},{qx2} are not twins")
+            if common_graph.rows[py1] & common_graph.rows[qy1]:
+                violations.append(
+                    f"{label}: inner endpoints {py1},{qy1} share a witness vertex")
     return violations
 
 

@@ -219,19 +219,6 @@ def stable_colouring(g: Graph) -> RefinementTrace:
     return RefinementTrace(current, stable_round)
 
 
-def distinguished(c: PairColouring, p1: tuple[int, int], p2: tuple[int, int]) -> bool:
-    return c.colour(*p1) != c.colour(*p2)
-
-
-def strongly_distinguished(c: PairColouring, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """True iff the colour sets of both orientations are disjoint."""
-    if e1[0] == e1[1] or e2[0] == e2[1]:
-        raise GraphError("strong distinguishing is defined for non-diagonal pairs")
-    s1 = {c.colour(e1[0], e1[1]), c.colour(e1[1], e1[0])}
-    s2 = {c.colour(e2[0], e2[1]), c.colour(e2[1], e2[0])}
-    return not (s1 & s2)
-
-
 def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int], q: tuple[int, int]) -> TriangleProfile:
     """Closed-form triangle counts for an edge of the lexicographic product
     after the initial colouring, keyed by semantic codes (1=edge, 2=non-edge).
@@ -271,60 +258,3 @@ def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int], q: tuple[int, int
     counts = tuple(((i, j), v) for (i, j), v in
                    [((1, 1), d11), ((1, 2), d12), ((2, 1), d21), ((2, 2), d22)])
     return TriangleProfile(counts)
-
-
-def profile_distinguish(g: Graph, c: PairColouring,
-                        src_pair: tuple[int, int], dst_pair: tuple[int, int],
-                        max_len: int) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Search for a colour word whose walk counts separate two pairs.
-
-    Returns the shortest (length, word) such that the numbers of walks from
-    src_pair[0] to src_pair[1] and from dst_pair[0] to dst_pair[1] carrying
-    that exact colour word differ, or None if no witness of length at most
-    `max_len` exists.  Walk counts are accumulated by dynamic programming
-    over colour-labelled transitions; identical intermediate count-vector
-    pairs are merged to keep the search finite.
-    """
-    if max_len < 1:
-        raise GraphError("max_len must be at least 1")
-    if c.n != g.n:
-        raise GraphError("colouring size does not match graph")
-    n = g.n
-    x0, x1 = src_pair
-    y0, y1 = dst_pair
-    for v in (x0, x1, y0, y1):
-        g._check_vertex(v)
-    # transitions[i][u] = bit/count layout: list of v with colour(u, v) == i
-    transitions: list[list[list[int]]] = [
-        [[v for v in range(n) if c.colours[u * n + v] == i] for u in range(n)]
-        for i in range(c.num_colours)
-    ]
-    start_x = tuple(1 if v == x0 else 0 for v in range(n))
-    start_y = tuple(1 if v == y0 else 0 for v in range(n))
-    frontier: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {
-        (start_x, start_y): ()
-    }
-    for length in range(1, max_len + 1):
-        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-        for (vx, vy), word in frontier.items():
-            for i in range(c.num_colours):
-                wx = [0] * n
-                wy = [0] * n
-                for u in range(n):
-                    cu = vx[u]
-                    if cu:
-                        for v in transitions[i][u]:
-                            wx[v] += cu
-                    cu = vy[u]
-                    if cu:
-                        for v in transitions[i][u]:
-                            wy[v] += cu
-                if wx[x1] != wy[y1]:
-                    return (length, word + (i,))
-                state = (tuple(wx), tuple(wy))
-                if state not in nxt:
-                    nxt[state] = word + (i,)
-        frontier = nxt
-        if not frontier:
-            break
-    return None

@@ -10,9 +10,7 @@ from conftest import graphs, graph_with_permutation, apply_permutation
 from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
                     path_graph, star_graph,
                     initial_colouring, first_round, refine_step, refinements,
-                    stable_colouring,
-                    distinguished, strongly_distinguished, triangle_counts,
-                    table1_closed_form, profile_distinguish)
+                    stable_colouring, triangle_counts, table1_closed_form)
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.graphs import GraphError
 from lexsym.wl import _canonical_rename, edge_nonedge_colours
@@ -216,23 +214,6 @@ class TestFirstRound:
             assert first_round(g) == refine_step(g, initial_colouring(g)), g
 
 
-class TestDistinguishing:
-    def test_distinguished_basic(self):
-        c = stable_colouring(cycle_graph(4)).stable
-        assert distinguished(c, (0, 1), (0, 2))
-        assert not distinguished(c, (0, 1), (1, 2))
-
-    def test_strongly_distinguished(self):
-        c = stable_colouring(cycle_graph(4)).stable
-        assert strongly_distinguished(c, (0, 1), (0, 2))
-        assert not strongly_distinguished(c, (0, 1), (1, 2))
-
-    def test_diagonal_rejected(self):
-        c = stable_colouring(cycle_graph(4)).stable
-        with pytest.raises(GraphError):
-            strongly_distinguished(c, (0, 0), (0, 1))
-
-
 class TestTriangleCounts:
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=2, max_n=6))
@@ -290,39 +271,3 @@ class TestClosedForm:
             qc = divmod(q, y.n)
             expected = {k: v for k, v in table1_closed_form(x, y, pc, qc).counts if v}
             assert _semantic_profile(x, y, prod, p, q) == expected
-
-
-class TestProfileDistinguish:
-    def test_length_one_witness(self):
-        g = cycle_graph(4)
-        c = initial_colouring(g)
-        hit = profile_distinguish(g, c, (0, 1), (0, 2), max_len=3)
-        assert hit is not None
-        length, word = hit
-        assert length == 1 and len(word) == 1
-
-    def test_no_witness_for_equivalent_pairs(self):
-        g = cycle_graph(4)
-        c = stable_colouring(g).stable
-        assert profile_distinguish(g, c, (0, 1), (1, 2), max_len=4) is None
-
-    def test_witness_on_path(self):
-        g = path_graph(4)
-        c = initial_colouring(g)
-        # (0, 1) is a pendant edge, (1, 2) is internal; walks tell them apart
-        assert profile_distinguish(g, c, (0, 1), (1, 2), max_len=4) is not None
-
-    def test_bad_max_len(self):
-        g = cycle_graph(4)
-        with pytest.raises(GraphError):
-            profile_distinguish(g, initial_colouring(g), (0, 1), (0, 2), max_len=0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(graphs(min_n=2, max_n=5))
-    def test_sound_against_stable_colouring(self, g):
-        c = stable_colouring(g).stable
-        pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
-        src, dst = pairs[0], pairs[-1]
-        hit = profile_distinguish(g, c, src, dst, max_len=3)
-        if hit is not None:
-            assert c.colour(*src) != c.colour(*dst)
