@@ -4,14 +4,12 @@ Stable pair colourings, a brute-force automorphism oracle, wreath-condition
 analysis, and symbolic (free) wreath-product expressions for small graphs.
 """
 
-from .graphs import (Graph, PairClass, TwinPartition, classify_pair, complement,
-                     connected_components, complete_graph, cycle_graph,
-                     disjoint_union, empty_graph, lex_product, path_graph,
-                     star_graph, twin_partition)
+from .graphs import (Graph, TwinPartition, complement, connected_components,
+                     complete_graph, cycle_graph, disjoint_union, empty_graph,
+                     lex_product, path_graph, star_graph, twin_partition)
 from .formats import decode_graph6, encode_graph6, parse_graph, write_graph
-from .wl import (PairColouring, RefinementTrace, TriangleProfile,
-                 initial_colouring, first_round, refine_step, refinements,
-                 stable_colouring, triangle_counts, table1_closed_form)
+from .wl import (PairColouring, RefinementTrace, first_round, refine_step,
+                 refinements, stable_colouring, table1_closed_form)
 from .groups import (PermGroup, StabiliserChain, automorphisms, aut_order, orbits,
                      orbitals, is_isomorphic, is_vertex_transitive, stabiliser_chain,
                      wreath_order)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
-                     lex_product, product_coords)
+                     lex_product)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
 from .wl import PairColouring, first_round, refinements
 from .expressions import (FreeWreath, GroupExpr, Indeterminate, quantum_to_classical,
@@ -146,8 +146,8 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
             (inner_e, outer_e, complement(x), complement(y), "edges"),
             (inner_ne, outer_ne, x, y, "nonedges")):
         for (p1, q1), (p2, q2) in _witnesses(c1, inner, outer):
-            py1, qy1 = product_coords(y, p1)[1], product_coords(y, q1)[1]
-            px2, qx2 = product_coords(y, p2)[0], product_coords(y, q2)[0]
+            py1, qy1 = p1 % y.n, q1 % y.n
+            px2, qx2 = p2 // y.n, q2 // y.n
             if twin_graph.rows[px2] != twin_graph.rows[qx2]:
                 violations.append(
                     f"{label}: outer endpoints {px2},{qx2} are not twins")

@@ -7,8 +7,7 @@ and complement computations cheap at desk scale.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -21,13 +20,11 @@ class Graph:
     """An immutable simple graph on vertices 0..n-1.
 
     `rows[u]` is a bitmask of the neighbours of `u`; the relation is kept
-    symmetric and loop-free by construction.  `labels`, when present, are
-    opaque provenance strings with no semantic effect.
+    symmetric and loop-free by construction.
     """
 
     n: int
     rows: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -46,8 +43,7 @@ class Graph:
                     raise GraphError(f"adjacency not symmetric at ({u}, {v})")
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   labels: Optional[Sequence[str]] = None) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         rows = [0] * n
@@ -58,20 +54,12 @@ class Graph:
                 raise GraphError(f"loop edge ({u}, {v}) rejected")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows), tuple(labels) if labels is not None else None)
+        return Graph(n, tuple(rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
         return bool(self.rows[u] >> v & 1)
-
-    def neighbours(self, u: int) -> int:
-        """Neighbourhood of `u` as a bitmask."""
-        self._check_vertex(u)
-        return self.rows[u]
-
-    def degree(self, u: int) -> int:
-        return self.neighbours(u).bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -89,15 +77,13 @@ class Graph:
             raise GraphError(f"vertex {u} out of range for n={self.n}")
 
 
-def _trusted(n: int, rows: tuple[int, ...],
-             labels: Optional[tuple[str, ...]] = None) -> Graph:
+def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
     """A `Graph` from rows that are symmetric, loop-free and in range by
     construction, without the O(n^2) checks of `Graph.__post_init__`.  Only
     for constructors that derive the rows from valid graphs."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
-    object.__setattr__(g, "labels", labels)
     return g
 
 
@@ -127,8 +113,7 @@ def star_graph(leaves: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return _trusted(g.n, tuple((full ^ g.rows[u]) & ~(1 << u) for u in range(g.n)),
-                    g.labels)
+    return _trusted(g.n, tuple((full ^ g.rows[u]) & ~(1 << u) for u in range(g.n)))
 
 
 def disjoint_union(gs: Sequence[Graph]) -> tuple[Graph, list[int]]:
@@ -162,33 +147,6 @@ def lex_product(x: Graph, y: Graph) -> Graph:
         for b in range(ny):
             rows.append(outer | (y.rows[b] << (a * ny)))
     return _trusted(x.n * ny, tuple(rows))
-
-
-def product_coords(y: Graph, p: int) -> tuple[int, int]:
-    return divmod(p, y.n)
-
-
-class PairClass(enum.Enum):
-    DIAGONAL = "diagonal"
-    INNER_EDGE = "inner_edge"
-    OUTER_EDGE = "outer_edge"
-    INNER_NONEDGE = "inner_nonedge"
-    OUTER_NONEDGE = "outer_nonedge"
-
-
-def classify_pair(x: Graph, y: Graph, p: tuple[int, int], q: tuple[int, int]) -> PairClass:
-    """Classify a product vertex pair as diagonal / inner / outer (non-)edge."""
-    px, py = p
-    qx, qy = q
-    if not (0 <= px < x.n and 0 <= qx < x.n):
-        raise GraphError("product vertex out of range in the left factor")
-    if not (0 <= py < y.n and 0 <= qy < y.n):
-        raise GraphError("product vertex out of range in the right factor")
-    if p == q:
-        return PairClass.DIAGONAL
-    if px == qx:
-        return PairClass.INNER_EDGE if y.has_edge(py, qy) else PairClass.INNER_NONEDGE
-    return PairClass.OUTER_EDGE if x.has_edge(px, qx) else PairClass.OUTER_NONEDGE
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -254,28 +212,6 @@ def twin_partition(g: Graph) -> TwinPartition:
 
 def has_twins(g: Graph) -> bool:
     return twin_partition(g).has_twins
-
-
-def distance_matrix(g: Graph) -> list[list[Optional[int]]]:
-    """All-pairs graph distances via BFS; None encodes unreachable."""
-    dist: list[list[Optional[int]]] = [[None] * g.n for _ in range(g.n)]
-    for s in range(g.n):
-        dist[s][s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                row = g.rows[u]
-                while row:
-                    v = (row & -row).bit_length() - 1
-                    row &= row - 1
-                    if dist[s][v] is None:
-                        dist[s][v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
 
 
 def _bits(mask: int) -> list[int]:

@@ -35,12 +35,11 @@ operations instead of the O(n^3) of a general round.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .graphs import Graph, GraphError, complement, classify_pair, PairClass
+from .graphs import Graph, GraphError, complement
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,6 @@ class PairColouring:
         n = self.n
         return [list(self.colours[u * n:(u + 1) * n]) for u in range(n)]
 
-    def classes(self) -> list[list[tuple[int, int]]]:
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_colours)]
-        n = self.n
-        for u in range(n):
-            for v in range(n):
-                out[self.colours[u * n + v]].append((u, v))
-        return out
-
 
 @dataclass(frozen=True)
 class RefinementTrace:
@@ -76,77 +67,10 @@ class RefinementTrace:
     stable_round: int
 
 
-@dataclass(frozen=True)
-class TriangleProfile:
-    """Counts of middle vertices by (colour to z, colour from z) for one pair."""
-
-    counts: tuple[tuple[tuple[int, int], int], ...]
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.counts)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-
 def _canonical_rename(raw: list, n: int) -> PairColouring:
     ids: dict = {}
     colours = tuple([ids.setdefault(key, len(ids)) for key in raw])
     return PairColouring(n, colours, len(ids))
-
-
-def initial_colouring(g: Graph) -> PairColouring:
-    """Diagonal / edge / non-edge colouring, canonically renamed.
-
-    Raw codes are 0 for the diagonal, 1 for edges, 2 for non-edges; the
-    rename collapses absent codes so ids are always contiguous.
-    """
-    raw = []
-    for u in range(g.n):
-        row = g.rows[u]
-        for v in range(g.n):
-            if u == v:
-                raw.append(0)
-            elif row >> v & 1:
-                raw.append(1)
-            else:
-                raw.append(2)
-    return _canonical_rename(raw, g.n)
-
-
-def edge_nonedge_colours(g: Graph, c: PairColouring) -> tuple[Optional[int], Optional[int]]:
-    """The ids that an initial colouring gave to edges and to non-edges.
-
-    The canonical rename is first-occurrence based, so on some graphs the
-    edge class ends up with a higher id than the non-edge class; callers
-    comparing against semantic edge/non-edge roles need this mapping.
-    """
-    edge_colour = nonedge_colour = None
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v:
-                continue
-            if g.rows[u] >> v & 1:
-                edge_colour = c.colour(u, v)
-            else:
-                nonedge_colour = c.colour(u, v)
-            if edge_colour is not None and nonedge_colour is not None:
-                return edge_colour, nonedge_colour
-    return edge_colour, nonedge_colour
-
-
-def triangle_counts(g: Graph, c: PairColouring, p: int, q: int) -> TriangleProfile:
-    """Exact middle-vertex counts for the ordered pair (p, q) under `c`."""
-    if c.n != g.n:
-        raise GraphError("colouring size does not match graph")
-    g._check_vertex(p)
-    g._check_vertex(q)
-    n = g.n
-    counts: Counter[tuple[int, int]] = Counter()
-    row_p = c.colours[p * n:(p + 1) * n]
-    for z in range(n):
-        counts[(row_p[z], c.colours[z * n + q])] += 1
-    return TriangleProfile(tuple(sorted(counts.items())))
 
 
 def first_round(g: Graph) -> PairColouring:
@@ -158,8 +82,8 @@ def first_round(g: Graph) -> PairColouring:
     fixed code each.  The diagonal pair (u, u) sees deg u edge-edge and
     n - 1 - deg u non-edge-non-edge.  So the key (initial colour code,
     deg u, deg v, |N(u) & N(v)|) splits pairs exactly as the profiles do,
-    and the rename gives the ids `refine_step(g, initial_colouring(g))`
-    gives.
+    and the rename gives the ids that a general `refine_step` of the
+    diagonal / edge / non-edge colouring gives.
     """
     n = g.n
     rows = g.rows
@@ -219,9 +143,11 @@ def stable_colouring(g: Graph) -> RefinementTrace:
     return RefinementTrace(current, stable_round)
 
 
-def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int], q: tuple[int, int]) -> TriangleProfile:
-    """Closed-form triangle counts for an edge of the lexicographic product
-    after the initial colouring, keyed by semantic codes (1=edge, 2=non-edge).
+def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int],
+                       q: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """The paper's Table 1: the counts of middle vertices z of an edge (p, q)
+    of the lexicographic product, keyed by the codes (1 = edge, 2 = non-edge)
+    of the pairs (p, z) and (z, q).
 
     Inner edge (p, q in the same copy of the right factor at position a):
         D11 = |N_Y(py) & N_Y(qy)| + |N_X(a)| * n
@@ -236,14 +162,16 @@ def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int], q: tuple[int, int
     where n = |V(Y)| and N_*c are neighbourhoods in the complement.
     Degenerate counts involving the diagonal colour are omitted.
     """
-    kind = classify_pair(x, y, p, q)
-    if kind not in (PairClass.INNER_EDGE, PairClass.OUTER_EDGE):
+    (px, py), (qx, qy) = p, q
+    if not (0 <= px < x.n and 0 <= qx < x.n and 0 <= py < y.n and 0 <= qy < y.n):
+        raise GraphError("product vertex out of range")
+    inner = px == qx
+    if not (y.rows[py] >> qy & 1 if inner else x.rows[px] >> qx & 1):
         raise GraphError("closed-form triangle counts require a product edge")
     xc = complement(x)
     yc = complement(y)
     n = y.n
-    (px, py), (qx, qy) = p, q
-    if kind is PairClass.INNER_EDGE:
+    if inner:
         a = px
         d11 = (y.rows[py] & y.rows[qy]).bit_count() + x.rows[a].bit_count() * n
         d12 = (y.rows[py] & yc.rows[qy]).bit_count()
@@ -255,6 +183,4 @@ def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int], q: tuple[int, int
         d12 = yc.rows[qy].bit_count() + (x.rows[px] & xc.rows[qx]).bit_count() * n
         d21 = yc.rows[py].bit_count() + (xc.rows[px] & x.rows[qx]).bit_count() * n
         d22 = (xc.rows[px] & xc.rows[qx]).bit_count() * n
-    counts = tuple(((i, j), v) for (i, j), v in
-                   [((1, 1), d11), ((1, 2), d12), ((2, 1), d21), ((2, 2), d22)])
-    return TriangleProfile(counts)
+    return {(1, 1): d11, (1, 2): d12, (2, 1): d21, (2, 2): d22}

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 
+from conftest import direct_profile, distance_matrix, initial_colouring
 from lexsym import (analyze_product, aut_order, automorphisms, complement,
                     complete_graph, cycle_graph, disjoint_union, empty_graph,
                     is_isomorphic, lex_product, orbitals, sabidussi_conditions,
@@ -22,9 +23,8 @@ from lexsym import (analyze_product, aut_order, automorphisms, complement,
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.decompose import qut_disjoint_union, split
 from lexsym.expressions import degree
-from lexsym.graphs import distance_matrix, induced_subgraph
-from lexsym.wl import (edge_nonedge_colours, initial_colouring, refine_step,
-                       table1_closed_form, triangle_counts)
+from lexsym.graphs import induced_subgraph
+from lexsym.wl import refine_step, table1_closed_form
 
 
 def graphs_by_order(max_n):
@@ -32,18 +32,6 @@ def graphs_by_order(max_n):
     for g in unlabelled_graphs_upto(max_n):
         by_n.setdefault(g.n, []).append(g)
     return by_n
-
-
-def semantic_profile(prod, c, e_id, ne_id, p, q):
-    """Middle-vertex counts keyed by edge(1)/non-edge(2) codes, zeros dropped."""
-    diag = c.colour(0, 0)
-    sem = {diag: 0, e_id: 1, ne_id: 2}
-    out = {}
-    for (i, j), cnt in triangle_counts(prod, c, p, q).counts:
-        si, sj = sem[i], sem[j]
-        if si and sj:
-            out[(si, sj)] = out.get((si, sj), 0) + cnt
-    return out
 
 
 def test_criterion_01_closed_form_triangle_counts():
@@ -55,15 +43,13 @@ def test_criterion_01_closed_form_triangle_counts():
     pairs.append((cycle_graph(4), complete_graph(2)))
     for x, y in pairs:
         prod = lex_product(x, y)
-        c = initial_colouring(prod)
-        e_id, ne_id = edge_nonedge_colours(prod, c)
         for p, q in prod.edges():
             for src, dst in ((p, q), (q, p)):
-                direct = semantic_profile(prod, c, e_id, ne_id, src, dst)
+                direct = direct_profile(prod, src, dst)
                 pc = divmod(src, y.n)
                 qc = divmod(dst, y.n)
                 expected = {k: v for k, v in
-                            table1_closed_form(x, y, pc, qc).counts if v}
+                            table1_closed_form(x, y, pc, qc).items() if v}
                 assert direct == expected, (write_graph(x), write_graph(y), src, dst)
     assert time.monotonic() - start < 10
 

@@ -157,6 +157,15 @@ class TestSweep:
         assert payload["pairs_skipped_bound"] == 0
         assert payload["counterexamples"] == 0
 
+    @pytest.mark.parametrize("argv, verified, skipped", [
+        (["sweep", "--max-nx", "4", "--max-ny", "4"], 203, 121),
+        (["--max-degree", "12", "sweep", "--max-nx", "5", "--max-ny", "3"], 228, 136),
+    ])
+    def test_shapes_past_the_bound_are_skipped(self, capsys, argv, verified, skipped):
+        payload = run_json(capsys, argv)
+        assert payload == {"schema": 1, "pairs_verified": verified,
+                           "pairs_skipped_bound": skipped, "counterexamples": 0}
+
     def test_single_pair(self, capsys):
         payload = run_json(capsys, ["sweep", "--max-nx", "1", "--max-ny", "1"])
         assert payload["pairs_verified"] == 1

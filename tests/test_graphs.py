@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, graph_with_permutation, apply_permutation
-from lexsym import (Graph, PairClass, classify_pair, complement,
-                    connected_components, complete_graph, cycle_graph,
-                    disjoint_union, empty_graph, lex_product, path_graph,
-                    star_graph, twin_partition)
-from lexsym.graphs import (GraphError, distance_matrix, has_twins, induced_subgraph,
-                           is_connected, product_coords)
+from conftest import graphs, graph_with_permutation, apply_permutation, distance_matrix
+from lexsym import (Graph, complement, connected_components, complete_graph,
+                    cycle_graph, disjoint_union, empty_graph, lex_product,
+                    path_graph, star_graph, twin_partition)
+from lexsym.graphs import GraphError, has_twins, induced_subgraph, is_connected
 
 
 class TestConstruction:
@@ -53,8 +51,8 @@ class TestConstruction:
         assert empty_graph(3).edge_count() == 0
         star = star_graph(4)
         assert star.n == 5
-        assert star.degree(0) == 4
-        assert all(star.degree(v) == 1 for v in range(1, 5))
+        assert star.rows[0].bit_count() == 4
+        assert all(star.rows[v].bit_count() == 1 for v in range(1, 5))
 
     def test_cycle_needs_three_vertices(self):
         with pytest.raises(GraphError):
@@ -98,12 +96,6 @@ class TestLexProduct:
         assert p.n == 8
         assert p.edge_count() == 20
 
-    def test_index_round_trip(self):
-        y = complete_graph(3)
-        for a in range(4):
-            for b in range(3):
-                assert product_coords(y, a * y.n + b) == (a, b)
-
     def test_empty_factor_rejected(self):
         with pytest.raises(GraphError):
             lex_product(empty_graph(0), complete_graph(2))
@@ -141,10 +133,6 @@ class TestTrustedConstructors:
             assert Graph(built.n, built.rows) == built
             assert hash(Graph(built.n, built.rows)) == hash(built)
 
-    def test_complement_keeps_labels(self):
-        g = Graph.from_edges(3, [(0, 1)], labels=["a", "b", "c"])
-        assert complement(g).labels == ("a", "b", "c")
-
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=2, max_n=6), st.data())
     def test_public_constructor_rejects_asymmetric_rows(self, g, data):
@@ -153,23 +141,6 @@ class TestTrustedConstructors:
         rows[u] ^= 1 << v
         with pytest.raises(GraphError, match="not symmetric"):
             Graph(g.n, tuple(rows))
-
-
-class TestClassifyPair:
-    def test_all_classes(self):
-        x, y = cycle_graph(4), complete_graph(2)
-        assert classify_pair(x, y, (0, 0), (0, 0)) is PairClass.DIAGONAL
-        assert classify_pair(x, y, (0, 0), (0, 1)) is PairClass.INNER_EDGE
-        assert classify_pair(x, y, (0, 0), (1, 1)) is PairClass.OUTER_EDGE
-        assert classify_pair(x, y, (0, 0), (2, 1)) is PairClass.OUTER_NONEDGE
-
-    def test_inner_nonedge(self):
-        x, y = complete_graph(2), empty_graph(2)
-        assert classify_pair(x, y, (0, 0), (0, 1)) is PairClass.INNER_NONEDGE
-
-    def test_range_checked(self):
-        with pytest.raises(GraphError):
-            classify_pair(complete_graph(2), complete_graph(2), (0, 0), (2, 0))
 
 
 class TestComponents:

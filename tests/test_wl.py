@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, graph_with_permutation, apply_permutation
+from conftest import (graphs, graph_with_permutation, apply_permutation,
+                      direct_profile, initial_colouring)
 from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
-                    path_graph, star_graph,
-                    initial_colouring, first_round, refine_step, refinements,
-                    stable_colouring, triangle_counts, table1_closed_form)
+                    path_graph, star_graph, first_round, refine_step, refinements,
+                    stable_colouring, table1_closed_form)
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.graphs import GraphError
-from lexsym.wl import _canonical_rename, edge_nonedge_colours
+from lexsym.wl import _canonical_rename
 
 
 def reference_refine_step(g, c):
@@ -83,18 +83,6 @@ class TestInitialColouring:
         c = initial_colouring(g)
         assert set(c.colours) == set(range(c.num_colours))
 
-    @settings(max_examples=50, deadline=None)
-    @given(graphs(min_n=2))
-    def test_edge_nonedge_colours_match_semantics(self, g):
-        c = initial_colouring(g)
-        e_id, ne_id = edge_nonedge_colours(g, c)
-        for u in range(g.n):
-            for v in range(g.n):
-                if u == v:
-                    continue
-                expected = e_id if g.has_edge(u, v) else ne_id
-                assert c.colour(u, v) == expected
-
 
 class TestRefinement:
     def test_cycle4_stable_immediately(self):
@@ -106,11 +94,6 @@ class TestRefinement:
         c = stable_colouring(path_graph(4)).stable
         assert c.colour(0, 0) == c.colour(3, 3)
         assert c.colour(0, 0) != c.colour(1, 1)
-
-    def test_classes_partition_all_pairs(self):
-        c = stable_colouring(cycle_graph(5)).stable
-        classes = c.classes()
-        assert sum(len(cl) for cl in classes) == 25
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=1, max_n=6))
@@ -214,46 +197,15 @@ class TestFirstRound:
             assert first_round(g) == refine_step(g, initial_colouring(g)), g
 
 
-class TestTriangleCounts:
-    @settings(max_examples=40, deadline=None)
-    @given(graphs(min_n=2, max_n=6))
-    def test_total_is_vertex_count(self, g):
-        c = initial_colouring(g)
-        assert triangle_counts(g, c, 0, 1).total() == g.n
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(GraphError):
-            triangle_counts(cycle_graph(4), initial_colouring(cycle_graph(5)), 0, 1)
-
-
-def _semantic_profile(x, y, prod, p, q):
-    """Direct middle-vertex counts keyed by semantic edge(1)/non-edge(2) codes."""
-    c = initial_colouring(prod)
-    e_id, ne_id = edge_nonedge_colours(prod, c)
-    diag = c.colour(0, 0)
-    sem = {diag: 0}
-    if e_id is not None:
-        sem[e_id] = 1
-    if ne_id is not None:
-        sem[ne_id] = 2
-    out = {}
-    for (i, j), cnt in triangle_counts(prod, c, p, q).counts:
-        si, sj = sem[i], sem[j]
-        if si == 0 or sj == 0:
-            continue
-        out[(si, sj)] = out.get((si, sj), 0) + cnt
-    return out
-
-
 class TestClosedForm:
     def test_inner_edge_of_cycle4_by_k2(self):
         x, y = cycle_graph(4), complete_graph(2)
-        prof = table1_closed_form(x, y, (0, 0), (0, 1)).as_dict()
+        prof = table1_closed_form(x, y, (0, 0), (0, 1))
         assert prof == {(1, 1): 4, (1, 2): 0, (2, 1): 0, (2, 2): 2}
 
     def test_outer_edge_of_cycle4_by_k2(self):
         x, y = cycle_graph(4), complete_graph(2)
-        prof = table1_closed_form(x, y, (0, 0), (1, 0)).as_dict()
+        prof = table1_closed_form(x, y, (0, 0), (1, 0))
         # endpoints of a 4-cycle edge have no common neighbour in either sense
         assert prof == {(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 0}
 
@@ -261,6 +213,12 @@ class TestClosedForm:
         x, y = cycle_graph(4), complete_graph(2)
         with pytest.raises(GraphError):
             table1_closed_form(x, y, (0, 0), (2, 0))
+        with pytest.raises(GraphError):
+            table1_closed_form(complete_graph(2), empty_graph(2), (0, 0), (0, 1))
+
+    def test_range_checked(self):
+        with pytest.raises(GraphError):
+            table1_closed_form(cycle_graph(4), complete_graph(2), (0, 0), (4, 0))
 
     @settings(max_examples=30, deadline=None)
     @given(graphs(min_n=1, max_n=5), graphs(min_n=1, max_n=3))
@@ -269,5 +227,5 @@ class TestClosedForm:
         for p, q in prod.edges():
             pc = divmod(p, y.n)
             qc = divmod(q, y.n)
-            expected = {k: v for k, v in table1_closed_form(x, y, pc, qc).counts if v}
-            assert _semantic_profile(x, y, prod, p, q) == expected
+            expected = {k: v for k, v in table1_closed_form(x, y, pc, qc).items() if v}
+            assert direct_profile(prod, p, q) == expected
