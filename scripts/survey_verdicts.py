@@ -11,12 +11,13 @@ pathways reach before the symbolic machinery gives up.
 import argparse
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lexsym import analyze_product, sabidussi_conditions, verify_wl_separation
-from lexsym.census import unlabelled_graphs_upto
+from lexsym.census import unlabelled_graphs
 
 
 def main(argv=None) -> int:
@@ -30,18 +31,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     verdicts: Counter[str] = Counter()
     separation: Counter[str] = Counter()
-    for x in unlabelled_graphs_upto(args.max_nx):
-        for y in unlabelled_graphs_upto(args.max_ny):
-            if x.n * y.n > args.max_product:
-                verdicts["skipped(bound)"] += 1
+    for nx in range(1, args.max_nx + 1):
+        for ny in range(1, args.max_ny + 1):
+            if nx * ny > args.max_product:
+                verdicts["skipped(bound)"] += (len(unlabelled_graphs(nx))
+                                               * len(unlabelled_graphs(ny)))
                 continue
-            report = analyze_product(x, y)
-            verdicts[report.verdict] += 1
-            if args.check_separation and not sabidussi_conditions(x, y).wreath_holds:
-                sep = verify_wl_separation(x, y)
-                both = (sep.inner_outer_edges_separated
-                        and sep.inner_outer_nonedges_separated)
-                separation["separated" if both else "mixed"] += 1
+            for x, y in product(unlabelled_graphs(nx), unlabelled_graphs(ny)):
+                verdicts[analyze_product(x, y).verdict] += 1
+                if args.check_separation and not sabidussi_conditions(x, y).wreath_holds:
+                    sep = verify_wl_separation(x, y)
+                    both = (sep.inner_outer_edges_separated
+                            and sep.inner_outer_nonedges_separated)
+                    separation["separated" if both else "mixed"] += 1
     print("verdicts:")
     for key, count in sorted(verdicts.items()):
         print(f"  {key:20s} {count}")

@@ -18,8 +18,7 @@ from .analysis import (AnalysisReport, ConditionReport, SeparationReport,
                        verify_wl_separation, check_first_iteration_consequences)
 from .decompose import (DecompositionReport, split, qut_disjoint_union,
                         analyze_vt_product, qut_expression)
-from .expressions import (SPlus, S, QutLeaf, AutLeaf, FreeWreath, Wreath,
-                          FreeProd, Indeterminate, serialize, simplify,
-                          classical_order, quantum_to_classical)
+from .expressions import (SPlus, QutLeaf, FreeWreath, FreeProd, Indeterminate,
+                          serialize, serialize_classical, simplify, classical_order)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,8 +17,8 @@ from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
                      lex_product)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
 from .wl import PairColouring, first_round, refinements
-from .expressions import (FreeWreath, GroupExpr, Indeterminate, quantum_to_classical,
-                          serialize, simplify, to_tree)
+from .expressions import (FreeWreath, GroupExpr, Indeterminate, serialize,
+                          serialize_classical, simplify, to_tree)
 from .decompose import analyze_vt_product, certified
 from .formats import content_hash, write_graph
 
@@ -166,7 +166,6 @@ class AnalysisReport:
     conditions: ConditionReport
     verdict: str
     quantum_expr: GroupExpr
-    classical_expr: Optional[GroupExpr]
     aut_order: Optional[int]
     wreath_order: Optional[int]
     classical_skipped: Optional[str] = None
@@ -193,8 +192,8 @@ class AnalysisReport:
                 "y": {"hash": content_hash(self.y), "text": write_graph(self.y)},
             },
         }
-        if self.classical_expr is not None:
-            out["classical_expr"] = serialize(self.classical_expr)
+        if self.verdict == "wreath":
+            out["classical_expr"] = serialize_classical(self.quantum_expr)
         return out
 
 
@@ -209,11 +208,9 @@ def analyze_product(x: Graph, y: Graph,
     classes not uniform) the verdict is indeterminate, naming the condition.
     """
     conditions = sabidussi_conditions(x, y)
-    classical_expr: Optional[GroupExpr] = None
     if conditions.wreath_holds:
         verdict = "wreath"
         quantum = simplify(FreeWreath(certified(y, max_degree), certified(x, max_degree)))
-        classical_expr = quantum_to_classical(quantum)
     else:
         try:
             quantum = analyze_vt_product(x, y, max_degree)
@@ -230,6 +227,5 @@ def analyze_product(x: Graph, y: Graph,
     else:
         skipped = "bound"
     return AnalysisReport(x=x, y=y, conditions=conditions, verdict=verdict,
-                          quantum_expr=quantum, classical_expr=classical_expr,
-                          aut_order=order, wreath_order=worder,
+                          quantum_expr=quantum, aut_order=order, wreath_order=worder,
                           classical_skipped=skipped)

@@ -1,9 +1,10 @@
 """Symbolic group expressions over graph-symmetry leaves.
 
-Expression trees combine quantum and classical leaves with wreath, free
-wreath, and free product operators.  Serialization is canonical (prefix
-notation, deterministic child order), so expression strings can be used
-as golden values in reports and tests.
+Expression trees combine quantum leaves with free wreath and free product
+operators.  Serialization is canonical (prefix notation, deterministic
+child order), so expression strings can be used as golden values in
+reports and tests.  A tree also prints as its classical shadow, the same
+tree read term by term as S(n), Aut(g) and the wreath product.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from .graphs import Graph
 from .formats import content_hash, write_graph
 from .groups import aut_order
 
-GroupExpr = Union["SPlus", "S", "QutLeaf", "AutLeaf",
-                  "FreeWreath", "Wreath", "FreeProd", "Indeterminate"]
+GroupExpr = Union["SPlus", "QutLeaf", "FreeWreath", "FreeProd", "Indeterminate"]
 
 
 @dataclass(frozen=True)
@@ -31,34 +31,13 @@ class SPlus:
 
 
 @dataclass(frozen=True)
-class S:
-    """The symmetric group on n points."""
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("S needs n >= 1")
-
-
-@dataclass(frozen=True)
 class QutLeaf:
-    graph: Graph
-
-
-@dataclass(frozen=True)
-class AutLeaf:
     graph: Graph
 
 
 @dataclass(frozen=True)
 class FreeWreath:
     """Free wreath product: `inner` wreathed by `outer`."""
-    inner: GroupExpr
-    outer: GroupExpr
-
-
-@dataclass(frozen=True)
-class Wreath:
     inner: GroupExpr
     outer: GroupExpr
 
@@ -80,16 +59,10 @@ class Indeterminate:
 def serialize(e: GroupExpr) -> str:
     if isinstance(e, SPlus):
         return f"S+({e.n})"
-    if isinstance(e, S):
-        return f"S({e.n})"
     if isinstance(e, QutLeaf):
         return f"Qut(#{content_hash(e.graph)})"
-    if isinstance(e, AutLeaf):
-        return f"Aut(#{content_hash(e.graph)})"
     if isinstance(e, FreeWreath):
         return f"FreeWreath({serialize(e.inner)},{serialize(e.outer)})"
-    if isinstance(e, Wreath):
-        return f"Wreath({serialize(e.inner)},{serialize(e.outer)})"
     if isinstance(e, FreeProd):
         return "FreeProd(" + ",".join(serialize(c) for c in e.children) + ")"
     if isinstance(e, Indeterminate):
@@ -99,14 +72,14 @@ def serialize(e: GroupExpr) -> str:
 
 def to_tree(e: GroupExpr) -> dict:
     """JSON-friendly tree; graph leaves are embedded by hash and text."""
-    if isinstance(e, (SPlus, S)):
-        return {"kind": type(e).__name__, "n": e.n}
-    if isinstance(e, (QutLeaf, AutLeaf)):
-        return {"kind": type(e).__name__,
+    if isinstance(e, SPlus):
+        return {"kind": "SPlus", "n": e.n}
+    if isinstance(e, QutLeaf):
+        return {"kind": "QutLeaf",
                 "graph": {"hash": content_hash(e.graph),
                           "text": write_graph(e.graph)}}
-    if isinstance(e, (FreeWreath, Wreath)):
-        return {"kind": type(e).__name__,
+    if isinstance(e, FreeWreath):
+        return {"kind": "FreeWreath",
                 "inner": to_tree(e.inner), "outer": to_tree(e.outer)}
     if isinstance(e, FreeProd):
         return {"kind": "FreeProd", "children": [to_tree(c) for c in e.children]}
@@ -138,11 +111,11 @@ def simplify(e: GroupExpr) -> GroupExpr:
 
 def degree(e: GroupExpr) -> int:
     """Number of points the expression acts on."""
-    if isinstance(e, (SPlus, S)):
+    if isinstance(e, SPlus):
         return e.n
-    if isinstance(e, (QutLeaf, AutLeaf)):
+    if isinstance(e, QutLeaf):
         return e.graph.n
-    if isinstance(e, (FreeWreath, Wreath)):
+    if isinstance(e, FreeWreath):
         return degree(e.inner) * degree(e.outer)
     if isinstance(e, FreeProd):
         return sum(degree(c) for c in e.children)
@@ -152,15 +125,15 @@ def degree(e: GroupExpr) -> int:
 def classical_order(e: GroupExpr) -> int:
     """Order of the classical shadow of the expression.
 
-    S+(n) and S(n) both count n!, free wreath counts like wreath, and free
-    product counts like the direct product of the factors acting on
-    disjoint point sets.  Graph leaves use the automorphism oracle.
+    S+(n) counts n!, as its shadow S(n) does, free wreath counts like
+    wreath, and free product counts like the direct product of the factors
+    acting on disjoint point sets.  Graph leaves use the automorphism oracle.
     """
-    if isinstance(e, (SPlus, S)):
+    if isinstance(e, SPlus):
         return math.factorial(e.n)
-    if isinstance(e, (QutLeaf, AutLeaf)):
+    if isinstance(e, QutLeaf):
         return aut_order(e.graph)
-    if isinstance(e, (FreeWreath, Wreath)):
+    if isinstance(e, FreeWreath):
         return classical_order(e.inner) ** degree(e.outer) * classical_order(e.outer)
     if isinstance(e, FreeProd):
         out = 1
@@ -170,14 +143,11 @@ def classical_order(e: GroupExpr) -> int:
     raise ValueError("indeterminate expressions have no order")
 
 
-def quantum_to_classical(e: GroupExpr) -> GroupExpr:
-    """Map quantum operators and leaves to their classical counterparts."""
-    if isinstance(e, SPlus):
-        return S(e.n)
-    if isinstance(e, QutLeaf):
-        return AutLeaf(e.graph)
-    if isinstance(e, FreeWreath):
-        return Wreath(quantum_to_classical(e.inner), quantum_to_classical(e.outer))
-    if isinstance(e, FreeProd):
-        return FreeProd(tuple(quantum_to_classical(c) for c in e.children))
-    return e
+def serialize_classical(e: GroupExpr) -> str:
+    """`serialize` of the classical shadow: S+(n), Qut(g) and the free wreath
+    read as S(n), Aut(g) and the wreath.  The renamed tokens occur in
+    `serialize`'s output only as operator and leaf names (leaf hashes are
+    hex, and no indeterminate reason contains them), so the rename is exact.
+    """
+    return (serialize(e).replace("FreeWreath(", "Wreath(")
+            .replace("S+(", "S(").replace("Qut(", "Aut("))

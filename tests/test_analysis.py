@@ -217,12 +217,11 @@ class TestInvariants:
                 if x.n * y.n > 12:
                     continue
                 rep = analyze_product(x, y)
+                where = (serialize(rep.quantum_expr), x.rows, y.rows)
+                assert ("classical_expr" in rep.as_dict()) == (rep.verdict == "wreath"), where
                 if isinstance(rep.quantum_expr, Indeterminate):
                     continue
-                where = (serialize(rep.quantum_expr), x.rows, y.rows)
                 assert degree(rep.quantum_expr) == x.n * y.n, where
                 assert classical_order(rep.quantum_expr) == rep.aut_order, where
-                if rep.verdict == "wreath":
-                    assert classical_order(rep.classical_expr) == rep.aut_order, where
                 checked += 1
         assert checked > 900

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import petersen_graph
 from lexsym import (Graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
-                    encode_graph6, lex_product, parse_graph, star_graph,
-                    write_graph)
+                    encode_graph6, lex_product, parse_graph, path_graph,
+                    star_graph, write_graph)
 from lexsym.cli import run
 from lexsym.formats import GRAPH6_HEADER
 
@@ -95,6 +95,22 @@ class TestAnalyze:
         assert payload["verdict"] == "wreath"
         assert payload["quantum_expr"] == (
             "FreeWreath(FreeProd(S+(1),S+(4)),FreeProd(S+(1),S+(3)))")
+
+    @pytest.mark.parametrize("x, y, verdict, classical", [
+        (cycle_graph(4), complete_graph(2), "wreath", "Wreath(S(2),Wreath(S(2),S(2)))"),
+        (star_graph(3), star_graph(4), "wreath",
+         "Wreath(FreeProd(S(1),S(4)),FreeProd(S(1),S(3)))"),
+        (cycle_graph(5), complete_graph(2), "wreath", "Wreath(S(2),Aut(#50dfef4d))"),
+        (empty_graph(2), empty_graph(2), "decomposed", None),
+        (path_graph(3), empty_graph(2), "indeterminate", None),
+    ])
+    def test_classical_expr_golden(self, capsys, write_file, x, y, verdict, classical):
+        # the classical expression is the last key, present only for a wreath verdict
+        payload = run_json(capsys, ["analyze", write_file("x.g", x), write_file("y.g", y),
+                                    "--json"])
+        assert payload["verdict"] == verdict
+        assert list(payload)[-1] == ("classical_expr" if classical else "graphs")
+        assert payload.get("classical_expr") == classical
 
     def test_text_output(self, capsys, write_file):
         x = write_file("c4.g", cycle_graph(4))

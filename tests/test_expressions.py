@@ -8,25 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from lexsym import (FreeProd, FreeWreath, Indeterminate, QutLeaf, S, SPlus,
-                    Wreath, classical_order, complete_graph, cycle_graph,
-                    empty_graph, path_graph, quantum_to_classical, serialize,
-                    simplify, star_graph)
+from lexsym import (FreeProd, FreeWreath, Indeterminate, QutLeaf, SPlus,
+                    classical_order, complete_graph, cycle_graph, empty_graph,
+                    path_graph, serialize, serialize_classical, simplify,
+                    star_graph)
 from lexsym.decompose import qut_expression
-from lexsym.expressions import AutLeaf, degree, to_tree
+from lexsym.expressions import degree, to_tree
+from lexsym.formats import content_hash
 
 leaves = st.one_of(
     st.integers(1, 4).map(SPlus),
-    st.integers(1, 4).map(S),
     graphs(min_n=1, max_n=4).map(QutLeaf),
-    graphs(min_n=1, max_n=4).map(AutLeaf),
 )
 
 expressions = st.recursive(
     leaves,
     lambda sub: st.one_of(
         st.tuples(sub, sub).map(lambda t: FreeWreath(*t)),
-        st.tuples(sub, sub).map(lambda t: Wreath(*t)),
         st.lists(sub, min_size=2, max_size=3).map(lambda c: FreeProd(tuple(c))),
     ),
     max_leaves=6,
@@ -36,23 +34,42 @@ expressions = st.recursive(
 class TestSerialize:
     def test_atoms(self):
         assert serialize(SPlus(4)) == "S+(4)"
-        assert serialize(S(3)) == "S(3)"
+        assert serialize_classical(SPlus(3)) == "S(3)"
         assert serialize(Indeterminate("why")) == "Indeterminate(why)"
 
     def test_operators(self):
         e = FreeWreath(FreeWreath(SPlus(2), SPlus(4)), SPlus(2))
         assert serialize(e) == "FreeWreath(FreeWreath(S+(2),S+(4)),S+(2))"
-        assert serialize(FreeProd((SPlus(2), S(3)))) == "FreeProd(S+(2),S(3))"
-        assert serialize(Wreath(S(2), S(3))) == "Wreath(S(2),S(3))"
+        assert serialize(FreeProd((SPlus(2), SPlus(3)))) == "FreeProd(S+(2),S+(3))"
+        assert serialize_classical(FreeProd((SPlus(2), SPlus(3)))) == "FreeProd(S(2),S(3))"
+        assert serialize_classical(FreeWreath(SPlus(2), SPlus(3))) == "Wreath(S(2),S(3))"
 
     def test_graph_leaves_named_by_hash(self):
         assert re.fullmatch(r"Qut\(#[0-9a-f]{8}\)", serialize(QutLeaf(cycle_graph(5))))
-        assert re.fullmatch(r"Aut\(#[0-9a-f]{8}\)", serialize(AutLeaf(cycle_graph(5))))
+        assert re.fullmatch(r"Aut\(#[0-9a-f]{8}\)",
+                            serialize_classical(QutLeaf(cycle_graph(5))))
 
     @settings(max_examples=40, deadline=None)
     @given(expressions)
     def test_deterministic(self, e):
         assert serialize(e) == serialize(e)
+
+    def test_serialize_classical(self):
+        e = FreeWreath(SPlus(2), FreeProd((QutLeaf(cycle_graph(5)), SPlus(3))))
+        assert serialize_classical(e) == "Wreath(S(2),FreeProd(Aut(#50dfef4d),S(3)))"
+
+    @settings(max_examples=60, deadline=None)
+    @given(expressions)
+    def test_classical_matches_a_structural_walk(self, e):
+        def walk(e):
+            if isinstance(e, SPlus):
+                return f"S({e.n})"
+            if isinstance(e, QutLeaf):
+                return f"Aut(#{content_hash(e.graph)})"
+            if isinstance(e, FreeWreath):
+                return f"Wreath({walk(e.inner)},{walk(e.outer)})"
+            return "FreeProd(" + ",".join(walk(c) for c in e.children) + ")"
+        assert serialize_classical(e) == walk(e)
 
 
 class TestToTree:
@@ -71,8 +88,6 @@ class TestValidation:
     def test_splus_positive(self):
         with pytest.raises(ValueError):
             SPlus(0)
-        with pytest.raises(ValueError):
-            S(-1)
 
     def test_free_prod_needs_two_children(self):
         with pytest.raises(ValueError):
@@ -86,7 +101,7 @@ class TestSimplify:
         assert qut_expression(complete_graph(5)) == SPlus(5)
         assert qut_expression(star_graph(4)) == FreeProd((SPlus(1), SPlus(4)))
         assert qut_expression(complete_graph(1)) == SPlus(1)
-        assert quantum_to_classical(qut_expression(empty_graph(3))) == S(3)
+        assert serialize_classical(qut_expression(empty_graph(3))) == "S(3)"
 
     def test_non_special_leaves_kept(self):
         assert simplify(QutLeaf(path_graph(4))) == QutLeaf(path_graph(4))
@@ -101,7 +116,6 @@ class TestSimplify:
         e = FreeProd((SPlus(1), SPlus(3), FreeWreath(SPlus(1), SPlus(1))))
         assert simplify(e) == FreeProd((SPlus(1), SPlus(3), SPlus(1)))
         assert degree(simplify(e)) == degree(e) == 5
-        assert simplify(FreeProd((S(1), S(1)))) == FreeProd((S(1), S(1)))
 
     def test_nested(self):
         e = FreeWreath(qut_expression(star_graph(2)), FreeWreath(SPlus(1), SPlus(3)))
@@ -135,9 +149,3 @@ class TestOrders:
         e = qut_expression(star_graph(4))
         assert degree(e) == degree(QutLeaf(star_graph(4))) == 5
         assert classical_order(e) == classical_order(QutLeaf(star_graph(4))) == math.factorial(4)
-
-    def test_quantum_to_classical(self):
-        e = FreeWreath(SPlus(2), FreeProd((QutLeaf(cycle_graph(5)), SPlus(3))))
-        c = quantum_to_classical(e)
-        assert serialize(c).startswith("Wreath(S(2),FreeProd(Aut(")
-        assert classical_order(c) == classical_order(e)

@@ -30,6 +30,15 @@ class TestSurvey:
         assert load_survey().main([]) == 0
         assert capsys.readouterr().out == VERDICTS
 
+    def test_shapes_past_the_bound_are_skipped(self, capsys):
+        argv = ["--max-nx", "5", "--max-ny", "4", "--max-product", "12"]
+        assert load_survey().main(argv) == 0
+        assert capsys.readouterr().out == ("verdicts:\n"
+                                           "  decomposed           46\n"
+                                           "  indeterminate        74\n"
+                                           "  skipped(bound)       631\n"
+                                           "  wreath               185\n")
+
     def test_separation_tally(self, capsys):
         assert load_survey().main(["--check-separation"]) == 0
         assert capsys.readouterr().out == VERDICTS + (
