@@ -5,19 +5,21 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --parent REV --number N [--seeds 10]
 
-The committed files of revision REV are extracted with `git archive` into a
-temporary directory.  For each seed S from 1 to --seeds, `python3
-bench/run.py --workload all --seed S --seconds T --trace 0`, with T the
-`run_seconds` of `BENCHMARK.json`, runs once in that copy and once in this
-working tree, the parent first on odd seeds and the change first on even
+The committed files of revision REV (the parent) and of HEAD (the change)
+are each extracted with `git archive` into a temporary directory, so both
+sides start from alike fresh trees; uncommitted edits are not measured,
+and the report says whether there were any.  For each seed S from 1 to
+--seeds, `python3 bench/run.py --workload all --seed S --seconds T
+--trace 0`, with T the `run_seconds` of `BENCHMARK.json`, runs once in
+each copy, the parent first on odd seeds and the change first on even
 ones, so slow drift of the host load falls on both sides alike.  The
 per-workload, per-metric medians and quartiles of both sides, the number of
 pairs in which the change is better (by the direction `BENCHMARK.json`
 gives), and the `failed` counts of every run go to `BENCH_<N>.json` at the
 repository root.  The file is rewritten after every pair, so an interrupted
-run keeps the pairs it finished.  Standard library only; `bench/` and
-`BENCHMARK.json` are read, never written (apart from `bench/out/`, which
-every benchmark run writes).
+run keeps the pairs it finished.  Standard library only; nothing in this
+checkout is written but that file (each benchmark run writes its
+`bench/out/` in its own temporary copy).
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ def git(*args: str) -> bytes:
 def extract(rev: str, dest: str) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
+
+
+def side_trees(parent: str, change: str, workdir: str) -> dict[str, str]:
+    """Extract the parent and change revisions into their own directories
+    under `workdir`; the working tree is never one of them."""
+    trees = {}
+    for side, rev in (("parent", parent), ("change", change)):
+        trees[side] = os.path.join(workdir, side)
+        os.mkdir(trees[side])
+        extract(rev, trees[side])
+    return trees
 
 
 def run_bench(tree: str, seed: int, seconds: int) -> dict:
@@ -113,9 +126,8 @@ def main(argv=None) -> int:
     seeds = list(range(1, args.seeds + 1))
     runs: dict[str, list] = {"parent": [], "change": []}
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
-        extract(parent_sha, parent_dir)
-        trees = {"parent": parent_dir, "change": str(ROOT)}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        trees = side_trees(parent_sha, head_sha, workdir)
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:

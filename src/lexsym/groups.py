@@ -3,11 +3,21 @@
 Every query runs through one backtracking search over vertex images.  Each
 vertex has a list of candidate images, and a vertex w may be the image of
 the next vertex d only if the relation rows agree on everything placed so
-far: rel[d][u] == target_rel[w][image of u].  Automorphism queries use the
-stable pair colouring as the relation (it refines adjacency and every
-automorphism preserves it) with candidates of equal stable diagonal
-colour; isomorphism tests use adjacency, with candidates of equal refined
-vertex colour.
+far: rel[d][u] == target_rel[w][image of u].  Isomorphism tests use
+adjacency, with candidates of equal refined vertex colour.
+
+Automorphism queries use a 2-WL pair colouring as the relation, with
+candidates of equal diagonal colour.  Every 2-WL round is sound for this:
+it refines adjacency and every automorphism preserves it, so each round
+admits exactly the automorphisms and differs from the others only in how
+many dead ends the search explores.  Later rounds prune more, but each
+costs O(n^3), while the first is O(n^2) word operations and usually prunes
+enough.  So a query climbs a ladder of rungs, the rounds of
+`wl.refinements` taken one at a time.  Every rung but the stable one has a
+budget of `_RUNG_BUDGET` search nodes, counted over the whole query; when
+it runs out, the next round becomes the rung.  A next round with the same
+class count shows that the current rung is already stable, and the query
+finishes on it with no budget.
 
 Orders, orbits and orbitals come from a stabiliser chain on the base
 0, 1, ..., n-1, walked from level n-1 down to 0, that keeps every
@@ -16,19 +26,26 @@ automorphism it finds as a generator (Schreier-Sims orbit pruning, Seress
 images outside the orbit of k under the generators found so far are
 searched, each search either adding a generator or refuting the image, and
 the level factor is the orbit size.  The generators generate the whole
-group, so its orbits and orbitals are theirs.  `automorphisms` still
-enumerates every element, for callers that need them all.
+group, so its orbits and orbitals are theirs.  A climb keeps the
+generators: they are automorphisms whatever rung found them, and a
+finished level's orbit size is exact on every rung, so only the level that
+ran out of budget is searched again.  `automorphisms` still enumerates
+every element, for callers that need them all, and starts its enumeration
+again on each new rung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphError
-from .wl import stable_colouring
+from .wl import PairColouring, refinements
 
 DEFAULT_MAX_DEGREE = 14
+
+# Search nodes allowed on each rung below the stable one, over a whole query.
+_RUNG_BUDGET = 2000
 
 
 class OracleBoundError(GraphError):
@@ -60,6 +77,10 @@ class StabiliserChain:
     generators: tuple[tuple[int, ...], ...]
 
 
+class _OutOfBudget(Exception):
+    """A rung's node budget ran out before the query finished."""
+
+
 def _check_bound(g: Graph, max_degree: int) -> None:
     if g.n > max_degree:
         raise OracleBoundError(
@@ -69,15 +90,21 @@ def _check_bound(g: Graph, max_degree: int) -> None:
 
 def _search(n: int, candidates: list[list[int]], rel: Sequence[Sequence],
             target_rel: Sequence[Sequence], collect: Optional[list[tuple[int, ...]]],
-            prefix: list[int]) -> Optional[tuple[int, ...]]:
+            prefix: list[int], budget: Optional[list[int]] = None) -> Optional[tuple[int, ...]]:
     """Extend `prefix` (images of vertices 0..len(prefix)-1) to full bijections.
 
     A candidate w for the next vertex d is kept only if
     rel[d][u] == target_rel[w][prefix[u]] for every placed vertex u.  Without
     `collect` the search stops at the first completion and returns it (None
     if there is none); with `collect` set, every completion is recorded, the
-    search is exhaustive and returns None.
+    search is exhaustive and returns None.  `budget`, when given, is a
+    one-item list holding the nodes left: each call takes one, and
+    `_OutOfBudget` is raised when none is left.
     """
+    if budget is not None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _OutOfBudget
     depth = len(prefix)
     if depth == n:
         if collect is None:
@@ -94,18 +121,42 @@ def _search(n: int, candidates: list[list[int]], rel: Sequence[Sequence],
                 break
         else:
             prefix.append(w)
-            found = _search(n, candidates, rel, target_rel, collect, prefix)
+            found = _search(n, candidates, rel, target_rel, collect, prefix, budget)
             prefix.pop()
             if found is not None:
                 return found
     return None
 
 
-def _stable_relation(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """Candidates of equal stable diagonal colour, and the stable colour rows."""
-    rel = stable_colouring(g).stable.matrix()
-    diag = [rel[v][v] for v in range(g.n)]
-    return [[w for w in range(g.n) if diag[w] == diag[v]] for v in range(g.n)], rel
+def _relation(c: PairColouring) -> tuple[list[list[int]], list[list[int]]]:
+    """Candidates of equal diagonal colour (one list per class, shared by
+    its members), and the colour rows."""
+    rel = c.matrix()
+    classes: dict[int, list[int]] = {}
+    for v in range(c.n):
+        classes.setdefault(rel[v][v], []).append(v)
+    return [classes[rel[v][v]] for v in range(c.n)], rel
+
+
+def _ladder(g: Graph) -> Iterator[tuple[list[list[int]], list[list[int]], Optional[list[int]]]]:
+    """The rungs of an automorphism query: candidates, relation and budget.
+
+    The rounds of `refinements(g)` are yielded one at a time, each with a
+    fresh budget of `_RUNG_BUDGET` nodes; the next round is computed only
+    when the query asks for another rung.  When there is no next round, or
+    it has the same class count, the current round is stable: it is
+    yielded once more with no budget, and the ladder ends.
+    """
+    rounds = refinements(g)
+    current = next(rounds)
+    while True:
+        candidates, rel = _relation(current)
+        yield candidates, rel, [_RUNG_BUDGET]
+        following = next(rounds, None)
+        if following is None or following.num_colours == current.num_colours:
+            yield candidates, rel, None
+            return
+        current = following
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -122,7 +173,8 @@ def _union(parent: list[int], a: int, b: int) -> None:
 
 
 def _orbit_size(n: int, candidates: list[list[int]], rel: list[list[int]], k: int,
-                parent: list[int], generators: list[tuple[int, ...]]) -> int:
+                parent: list[int], generators: list[tuple[int, ...]],
+                budget: Optional[list[int]]) -> int:
     """The orbit size of k under the automorphisms fixing 0..k-1 pointwise.
 
     `parent` is a union-find of the orbits of `generators`, which must all
@@ -132,6 +184,7 @@ def _orbit_size(n: int, candidates: list[list[int]], rel: list[list[int]], k: in
     prefix 0..k-1 fixed: a completion joins the generators and the
     union-find, no completion refutes the image.  Afterwards the generators'
     orbit of k is the group's, and it lies within the candidates of k.
+    The searches draw on `budget` (see `_search`).
     """
     fixed = list(range(k))
     refuted: set[int] = set()
@@ -141,7 +194,8 @@ def _orbit_size(n: int, candidates: list[list[int]], rel: list[list[int]], k: in
         root = _find(parent, w)
         if root == _find(parent, k) or root in refuted:
             continue
-        perm = _search(n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel, None, fixed)
+        perm = _search(n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel, None, fixed,
+                       budget)
         if perm is None:
             refuted.add(root)
             continue
@@ -154,14 +208,46 @@ def _orbit_size(n: int, candidates: list[list[int]], rel: list[list[int]], k: in
     return sum(_find(parent, w) == root for w in candidates[k])
 
 
+def _orbit_sizes(g: Graph, levels: Iterable[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The product of the orbit sizes at `levels`, walked in order with one
+    union-find, and the generators found, on the ladder of `g`.
+
+    When a rung's budget runs out, only the interrupted level is searched
+    again, on the next rung: the generators found so far and their
+    union-find are kept.
+    """
+    rungs = _ladder(g)
+    candidates, rel, budget = next(rungs)
+    parent = list(range(g.n))
+    generators: list[tuple[int, ...]] = []
+    order = 1
+    for k in levels:
+        while True:
+            try:
+                order *= _orbit_size(g.n, candidates, rel, k, parent, generators, budget)
+                break
+            except _OutOfBudget:
+                candidates, rel, budget = next(rungs)
+    return order, generators
+
+
 def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
-    """All adjacency-preserving permutations, in lexicographic image order."""
+    """All adjacency-preserving permutations, in lexicographic image order.
+
+    The enumeration starts again on each rung it climbs to; the stable
+    rung has no budget, so it always finishes there.
+    """
     _check_bound(g, max_degree)
-    candidates, rel = _stable_relation(g)
-    out: list[tuple[int, ...]] = []
-    _search(g.n, candidates, rel, rel, out, [])
-    out.sort()
-    return PermGroup(g.n, tuple(out))
+    rungs = _ladder(g)
+    while True:
+        candidates, rel, budget = next(rungs)
+        out: list[tuple[int, ...]] = []
+        try:
+            _search(g.n, candidates, rel, rel, out, [], budget)
+        except _OutOfBudget:
+            continue
+        out.sort()
+        return PermGroup(g.n, tuple(out))
 
 
 def stabiliser_chain(g: Graph, max_degree: Optional[int] = None) -> StabiliserChain:
@@ -174,12 +260,7 @@ def stabiliser_chain(g: Graph, max_degree: Optional[int] = None) -> StabiliserCh
     """
     if max_degree is not None:
         _check_bound(g, max_degree)
-    candidates, rel = _stable_relation(g)
-    parent = list(range(g.n))
-    generators: list[tuple[int, ...]] = []
-    order = 1
-    for k in reversed(range(g.n)):
-        order *= _orbit_size(g.n, candidates, rel, k, parent, generators)
+    order, generators = _orbit_sizes(g, reversed(range(g.n)))
     return StabiliserChain(g.n, order, tuple(generators))
 
 
@@ -278,8 +359,7 @@ def is_vertex_transitive(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool
     _check_bound(g, max_degree)
     if g.n <= 1:
         return True
-    candidates, rel = _stable_relation(g)
-    return _orbit_size(g.n, candidates, rel, 0, list(range(g.n)), []) == g.n
+    return _orbit_sizes(g, [0])[0] == g.n
 
 
 def wreath_order(aut_y_order: int, nx: int, aut_x_order: int) -> int:

@@ -1,19 +1,20 @@
 """Wreath-condition verdicts, separation checks, and reports."""
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 
 import lexsym.wl
-from conftest import graphs
+from conftest import apply_permutation, graphs
 from lexsym import (analyze_product, aut_order, complement, complete_graph,
                     cycle_graph, empty_graph, lex_product, path_graph,
                     sabidussi_conditions, serialize, stable_colouring, star_graph,
                     verify_wl_separation, wreath_order,
                     check_first_iteration_consequences)
 from lexsym.analysis import SeparationReport, _pair_buckets
-from lexsym.census import unlabelled_graphs_upto
+from lexsym.census import unlabelled_graphs, unlabelled_graphs_upto
 from lexsym.expressions import Indeterminate, classical_order, degree
 
 
@@ -202,6 +203,28 @@ class TestAnalyze:
             assert order == worder
         else:
             assert order > worder
+
+    def test_order_equality_iff_conditions_up_to_24_vertices(self):
+        # Sabidussi's identity on a seeded sample of 40 census pairs per
+        # shape, with factors and product relabelled
+        rng = random.Random(24)
+
+        def relabel(g):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            return apply_permutation(g, perm)
+
+        tally = {True: 0, False: 0}
+        for nx, ny in [(4, 6), (6, 4), (4, 5), (5, 4), (6, 3), (3, 6)]:
+            pairs = [(x, y) for x in unlabelled_graphs(nx) for y in unlabelled_graphs(ny)]
+            for x, y in rng.sample(pairs, 40):
+                x, y = relabel(x), relabel(y)
+                holds = sabidussi_conditions(x, y).wreath_holds
+                order = aut_order(relabel(lex_product(x, y)))
+                worder = wreath_order(aut_order(y), x.n, aut_order(x))
+                assert order == worder if holds else order > worder, (x.rows, y.rows)
+                tally[holds] += 1
+        assert tally[True] > 0 and tally[False] > 0
 
 
 class TestInvariants:

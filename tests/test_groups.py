@@ -6,22 +6,29 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lexsym.groups
+import lexsym.wl
 from conftest import apply_permutation, graph_with_permutation, graphs, petersen_graph
 from lexsym import (Graph, automorphisms, aut_order, complete_graph,
                     complement, cycle_graph, empty_graph, is_isomorphic,
                     is_vertex_transitive, lex_product, orbits, orbitals,
                     path_graph, star_graph, wreath_order)
-from lexsym.census import unlabelled_graphs_upto
+from lexsym.census import unlabelled_graphs, unlabelled_graphs_upto
 from lexsym.graphs import GraphError, disjoint_union
-from lexsym.groups import (OracleBoundError, _search, _stable_relation,
+from lexsym.groups import (OracleBoundError, _RUNG_BUDGET, _ladder, _search,
                            refined_vertex_colours, stabiliser_chain)
+from lexsym.wl import refinements, stable_colouring
 
 
 def reference_aut_order(g: Graph) -> int:
     """The unpruned level product on the base 0, 1, ..., n-1: the factor at
     level k counts the candidate images of k that one search each, with
-    0..k-1 fixed, completes to an automorphism.  `aut_order` must agree."""
-    candidates, rel = _stable_relation(g)
+    0..k-1 fixed, completes to an automorphism.  The search is pruned by
+    the stable 2-WL relation, with candidates of equal stable diagonal
+    colour, built here independently of the ladder.  `aut_order` must
+    agree."""
+    rel = stable_colouring(g).stable.matrix()
+    candidates = [[w for w in range(g.n) if rel[w][w] == rel[v][v]] for v in range(g.n)]
     order = 1
     for k in range(g.n):
         order *= sum(_search(g.n, candidates[:k] + [[w]] + candidates[k + 1:], rel, rel,
@@ -34,6 +41,13 @@ def relabelled(g: Graph, seed: int) -> Graph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return apply_permutation(g, perm)
+
+
+RELABELLED_PRODUCTS = pytest.mark.parametrize("x, y", [
+    (cycle_graph(5), cycle_graph(5)),
+    (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0]),
+    (cycle_graph(7), cycle_graph(6)),
+], ids=["C5[C5]", "C4[3K2]", "C7[C6]"])
 
 
 class TestAutomorphisms:
@@ -108,11 +122,7 @@ class TestStabiliserChain:
         for g in unlabelled_graphs_upto(7):
             assert aut_order(g) == reference_aut_order(g), g
 
-    @pytest.mark.parametrize("x, y", [
-        (cycle_graph(5), cycle_graph(5)),
-        (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0]),
-        (cycle_graph(7), cycle_graph(6)),
-    ], ids=["C5[C5]", "C4[3K2]", "C7[C6]"])
+    @RELABELLED_PRODUCTS
     def test_matches_reference_on_relabelled_products(self, x, y):
         g = relabelled(lex_product(x, y), 1)
         assert aut_order(g) == reference_aut_order(g)
@@ -133,9 +143,16 @@ class TestStabiliserChain:
 
 
 class TestSearchPruning:
-    """Stable pair colours prune the search on large symmetric products,
+    """2-WL pair colours prune the search on large symmetric products,
     whatever their labelling.  Pruned by adjacency alone, the relabelled
-    C7[C6] took 14 s to over 40 s and C8[C7] 42 s on a 2-vCPU machine."""
+    C7[C6] took 14 s to over 40 s and C8[C7] 42 s on a 2-vCPU machine.
+
+    The search climbs a ladder of 2-WL rounds: the first round, then each
+    later one, with a budget of search nodes on every rung but the stable
+    one.  Each rung is sound, since every 2-WL round refines adjacency and
+    every automorphism preserves it; a rung only decides how many dead
+    ends the search explores.  The first round is cheap and usually prunes
+    enough; its heavy tail is what the budget cuts off."""
 
     def test_c8_c7(self):
         start = time.perf_counter()
@@ -150,6 +167,77 @@ class TestSearchPruning:
         start = time.perf_counter()
         assert aut_order(apply_permutation(g, perm)) == 12 ** 7 * 14
         assert time.perf_counter() - start < 20
+
+
+def census_products():
+    """Census factor pairs of at most 7 vertices with products of at most 16
+    vertices, as products."""
+    return [lex_product(x, y) for nx in range(1, 8) for ny in range(1, 8) if nx * ny <= 16
+            for x in unlabelled_graphs(nx) for y in unlabelled_graphs(ny)]
+
+
+class TestLadder:
+    """Both paths of the ladder: queries that finish on a budgeted rung, and
+    queries that climb, with the budget forced to 0 so that every rung runs
+    out."""
+
+    def test_rungs_are_the_rounds_up_to_the_stable_one(self):
+        # each distinct round is a budgeted rung, and the stable round
+        # comes once more, last, with no budget
+        for g in unlabelled_graphs_upto(6) + [lex_product(cycle_graph(4), path_graph(3))]:
+            rounds = [c.matrix() for c in refinements(g)]
+            distinct = rounds[:-1] or rounds
+            rungs = list(_ladder(g))
+            assert [rel for _, rel, _ in rungs] == distinct + distinct[-1:], g.rows
+            assert [budget for *_, budget in rungs] == (
+                [[_RUNG_BUDGET]] * len(distinct) + [None]), g.rows
+
+    def test_budget_zero_matches_the_reference(self, monkeypatch):
+        graphs_ = unlabelled_graphs_upto(7)
+        chains = [stabiliser_chain(g) for g in graphs_]
+        transitive = [is_vertex_transitive(g) for g in graphs_]
+        monkeypatch.setattr(lexsym.groups, "_RUNG_BUDGET", 0)
+        for g, chain, vt in zip(graphs_, chains, transitive):
+            climbed = stabiliser_chain(g)
+            assert climbed.order == reference_aut_order(g), g.rows
+            assert orbits(climbed) == orbits(chain), g.rows
+            assert is_vertex_transitive(g) == vt, g.rows
+
+    @RELABELLED_PRODUCTS
+    def test_budget_zero_on_relabelled_products(self, monkeypatch, x, y):
+        g = relabelled(lex_product(x, y), 1)
+        chain = stabiliser_chain(g)
+        transitive = is_vertex_transitive(g, g.n)
+        monkeypatch.setattr(lexsym.groups, "_RUNG_BUDGET", 0)
+        climbed = stabiliser_chain(g)
+        assert climbed.order == chain.order == reference_aut_order(g)
+        assert orbits(climbed) == orbits(chain)
+        assert is_vertex_transitive(g, g.n) == transitive
+
+    def test_budget_zero_enumeration(self, monkeypatch):
+        graphs_ = unlabelled_graphs_upto(5)
+        groups = [automorphisms(g) for g in graphs_]
+        monkeypatch.setattr(lexsym.groups, "_RUNG_BUDGET", 0)
+        assert [automorphisms(g) for g in graphs_] == groups
+
+    def test_refine_step_calls_on_census_products(self, monkeypatch):
+        # the first round is enough for all but 3 of the 8000 products,
+        # which each climb one round; building every stable relation took
+        # 13,383 refine_step calls
+        calls = 0
+        refine_step = lexsym.wl.refine_step
+
+        def counting(g, c):
+            nonlocal calls
+            calls += 1
+            return refine_step(g, c)
+
+        products = census_products()
+        assert len(products) == 8000
+        monkeypatch.setattr(lexsym.wl, "refine_step", counting)
+        for g in products:
+            aut_order(g)
+        assert calls == 3
 
 
 @st.composite

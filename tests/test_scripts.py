@@ -84,6 +84,17 @@ class TestBenchPairs:
         assert entry["failed"] == {"parent": [0, 0], "change": [1, 0]}
         assert entry["correct"] == {"parent": True, "change": False}
 
+    def test_neither_side_runs_in_the_working_tree(self, monkeypatch, tmp_path):
+        bench_pairs = load_script("bench_pairs")
+        extracted = []
+        monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append((rev, dest)))
+        trees = bench_pairs.side_trees("parent-sha", "head-sha", str(tmp_path))
+        assert extracted == [("parent-sha", trees["parent"]), ("head-sha", trees["change"])]
+        assert trees["parent"] != trees["change"]
+        for tree in trees.values():
+            assert Path(tree).parent == tmp_path
+            assert Path(tree).resolve() != bench_pairs.ROOT
+
     def test_metrics_without_a_direction_are_not_compared(self):
         runs = {"parent": [bench_run(m=1.0)], "change": [bench_run(m=2.0)]}
         row = load_script("bench_pairs").summarise(runs, {})["w"]["metrics"]["m"]
