@@ -222,8 +222,8 @@ class TestLadder:
 
     def test_refine_step_calls_on_census_products(self, monkeypatch):
         # the first round is enough for all but 3 of the 8000 products,
-        # which each climb one round; building every stable relation took
-        # 13,383 refine_step calls
+        # which each climb one round; refining every product to its stable
+        # colouring would take 13,383 refine_step calls
         calls = 0
         refine_step = lexsym.wl.refine_step
 
