@@ -30,8 +30,7 @@ group, so its orbits and orbitals are theirs.  A climb keeps the
 generators: they are automorphisms whatever rung found them, and a
 finished level's orbit size is exact on every rung, so only the level that
 ran out of budget is searched again.  `automorphisms` still enumerates
-every element, for callers that need them all, and starts its enumeration
-again on each new rung.
+every element, for callers that need them all, on the stable rung.
 """
 
 from __future__ import annotations
@@ -232,22 +231,14 @@ def _orbit_sizes(g: Graph, levels: Iterable[int]) -> tuple[int, list[tuple[int, 
 
 
 def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
-    """All adjacency-preserving permutations, in lexicographic image order.
-
-    The enumeration starts again on each rung it climbs to; the stable
-    rung has no budget, so it always finishes there.
-    """
+    """All adjacency-preserving permutations, in lexicographic image order,
+    enumerated on the stable rung."""
     _check_bound(g, max_degree)
-    rungs = _ladder(g)
-    while True:
-        candidates, rel, budget = next(rungs)
-        out: list[tuple[int, ...]] = []
-        try:
-            _search(g.n, candidates, rel, rel, out, [], budget)
-        except _OutOfBudget:
-            continue
-        out.sort()
-        return PermGroup(g.n, tuple(out))
+    *_, (candidates, rel, _) = _ladder(g)
+    out: list[tuple[int, ...]] = []
+    _search(g.n, candidates, rel, rel, out, [])
+    out.sort()
+    return PermGroup(g.n, tuple(out))
 
 
 def stabiliser_chain(g: Graph, max_degree: Optional[int] = None) -> StabiliserChain:

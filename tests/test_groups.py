@@ -214,12 +214,6 @@ class TestLadder:
         assert orbits(climbed) == orbits(chain)
         assert is_vertex_transitive(g, g.n) == transitive
 
-    def test_budget_zero_enumeration(self, monkeypatch):
-        graphs_ = unlabelled_graphs_upto(5)
-        groups = [automorphisms(g) for g in graphs_]
-        monkeypatch.setattr(lexsym.groups, "_RUNG_BUDGET", 0)
-        assert [automorphisms(g) for g in graphs_] == groups
-
     def test_refine_step_calls_on_census_products(self, monkeypatch):
         # the first round is enough for all but 3 of the 8000 products,
         # which each climb one round; refining every product to its stable

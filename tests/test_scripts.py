@@ -2,6 +2,7 @@
 benchmark-pair script summarises runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -85,15 +86,35 @@ class TestBenchPairs:
         assert entry["correct"] == {"parent": True, "change": False}
 
     def test_neither_side_runs_in_the_working_tree(self, monkeypatch, tmp_path):
+        # main runs each side in its own extraction of its revision, and
+        # still reports uncommitted edits of the working tree
         bench_pairs = load_script("bench_pairs")
-        extracted = []
-        monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append((rev, dest)))
-        trees = bench_pairs.side_trees("parent-sha", "head-sha", str(tmp_path))
-        assert extracted == [("parent-sha", trees["parent"]), ("head-sha", trees["change"])]
-        assert trees["parent"] != trees["change"]
-        for tree in trees.values():
-            assert Path(tree).parent == tmp_path
-            assert Path(tree).resolve() != bench_pairs.ROOT
+        working_tree = bench_pairs.ROOT
+        answers = {"rev-parse": {"parent-rev^{commit}": b"parent-sha\n", "HEAD": b"head-sha\n"},
+                   "status": b" M src/lexsym/groups.py\n"}
+        extracted, ran = {}, []
+
+        def git(command, *args):
+            answer = answers[command]
+            return answer[args[-1]] if command == "rev-parse" else answer
+
+        def run_bench(tree, seed, seconds):
+            ran.append(tree)
+            return bench_run(m=1.0)
+
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"run_seconds": 1, "end_to_end": [{"name": "m", "better": "lower"}]}')
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "git", git)
+        monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.update({dest: rev}))
+        monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+        assert bench_pairs.main(["--parent", "parent-rev", "--number", "t", "--seeds", "2"]) == 0
+        assert sorted(extracted.values()) == ["head-sha", "parent-sha"]
+        assert len(ran) == 4 and set(ran) == set(extracted)
+        assert all(Path(tree).resolve() != working_tree for tree in ran)
+        report = json.loads((tmp_path / "BENCH_t.json").read_text())
+        assert report["parent"] == "parent-sha"
+        assert report["change"] == {"head": "head-sha", "uncommitted_changes": True}
 
     def test_metrics_without_a_direction_are_not_compared(self):
         runs = {"parent": [bench_run(m=1.0)], "change": [bench_run(m=2.0)]}
