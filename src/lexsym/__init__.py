@@ -10,9 +10,8 @@ from .graphs import (Graph, TwinPartition, complement, connected_components,
 from .formats import decode_graph6, encode_graph6, parse_graph, write_graph
 from .wl import (PairColouring, RefinementTrace, first_round, refine_step,
                  refinements, stable_colouring, table1_closed_form)
-from .groups import (PermGroup, StabiliserChain, automorphisms, aut_order, orbits,
-                     orbitals, is_isomorphic, is_vertex_transitive, stabiliser_chain,
-                     wreath_order)
+from .groups import (PermGroup, automorphisms, aut_order, orbits, orbitals,
+                     is_isomorphic, is_vertex_transitive, stabiliser_chain, wreath_order)
 from .analysis import (AnalysisReport, ConditionReport, SeparationReport,
                        analyze_product, sabidussi_conditions,
                        verify_wl_separation, check_first_iteration_consequences)

@@ -94,6 +94,9 @@ def run(argv: list[str]) -> int:
     except (FormatError, GraphError, CounterexampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:

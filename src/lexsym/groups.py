@@ -22,15 +22,16 @@ finishes on it with no budget.
 Orders, orbits and orbitals come from a stabiliser chain on the base
 0, 1, ..., n-1, walked from level n-1 down to 0, that keeps every
 automorphism it finds as a generator (Schreier-Sims orbit pruning, Seress
-2003; McKay-Piperno 2014): at level k only the candidate
-images outside the orbit of k under the generators found so far are
-searched, each search either adding a generator or refuting the image, and
-the level factor is the orbit size.  The generators generate the whole
-group, so its orbits and orbitals are theirs.  A climb keeps the
-generators: they are automorphisms whatever rung found them, and a
-finished level's orbit size is exact on every rung, so only the level that
-ran out of budget is searched again.  `automorphisms` still enumerates
-every element, for callers that need them all, on the stable rung.
+2003; McKay-Piperno 2014): at level k only the candidate images outside
+the orbit of k under the generators found so far are searched, each search
+either adding a generator or refuting the image, and the level factor is
+the orbit size.  The generators generate the whole group, so its orbits
+and orbitals are theirs.  A climb keeps the generators: they are
+automorphisms whatever rung found them, and a finished level's orbit size
+is exact on every rung, so only the level that ran out of budget is
+searched again.  One value type, `PermGroup`, holds every group: the
+chain's generators, or every element as `automorphisms`, the brute-force
+reference, enumerates them on the stable colouring, without the ladder.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphError
-from .wl import PairColouring, refinements
+from .wl import PairColouring, refinements, stable_colouring
 
 DEFAULT_MAX_DEGREE = 14
 
@@ -53,23 +54,7 @@ class OracleBoundError(GraphError):
 
 @dataclass(frozen=True)
 class PermGroup:
-    """An explicitly enumerated permutation group on 0..n-1."""
-
-    n: int
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        return self.elements
-
-
-@dataclass(frozen=True)
-class StabiliserChain:
-    """Aut(g) as the generators and order found by the orbit-pruned chain."""
+    """A permutation group on 0..n-1: its order and a generating set."""
 
     n: int
     order: int
@@ -207,52 +192,40 @@ def _orbit_size(n: int, candidates: list[list[int]], rel: list[list[int]], k: in
     return sum(_find(parent, w) == root for w in candidates[k])
 
 
-def _orbit_sizes(g: Graph, levels: Iterable[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """The product of the orbit sizes at `levels`, walked in order with one
-    union-find, and the generators found, on the ladder of `g`.
+def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
+    """Aut(g) with every element, in lexicographic image order, as the
+    generating set, enumerated on the stable 2-WL relation."""
+    _check_bound(g, max_degree)
+    candidates, rel = _relation(stable_colouring(g).stable)
+    out: list[tuple[int, ...]] = []
+    _search(g.n, candidates, rel, rel, out, [])
+    out.sort()
+    return PermGroup(g.n, len(out), tuple(out))
 
-    When a rung's budget runs out, only the interrupted level is searched
-    again, on the next rung: the generators found so far and their
-    union-find are kept.
+
+def stabiliser_chain(g: Graph, max_degree: Optional[int] = None) -> PermGroup:
+    """Aut(g) with the chain's generators, levels walked from n-1 down to 0.
+
+    Every generator found at a deeper level fixes 0..k-1, so it prunes the
+    candidates of level k.  The order is the product of the level orbit
+    sizes; a level that runs out of a rung's budget is searched again on
+    the next rung.  With `max_degree` set, graphs past the bound are rejected.
     """
+    if max_degree is not None:
+        _check_bound(g, max_degree)
     rungs = _ladder(g)
     candidates, rel, budget = next(rungs)
     parent = list(range(g.n))
     generators: list[tuple[int, ...]] = []
     order = 1
-    for k in levels:
+    for k in reversed(range(g.n)):
         while True:
             try:
                 order *= _orbit_size(g.n, candidates, rel, k, parent, generators, budget)
                 break
             except _OutOfBudget:
                 candidates, rel, budget = next(rungs)
-    return order, generators
-
-
-def automorphisms(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
-    """All adjacency-preserving permutations, in lexicographic image order,
-    enumerated on the stable rung."""
-    _check_bound(g, max_degree)
-    *_, (candidates, rel, _) = _ladder(g)
-    out: list[tuple[int, ...]] = []
-    _search(g.n, candidates, rel, rel, out, [])
-    out.sort()
-    return PermGroup(g.n, tuple(out))
-
-
-def stabiliser_chain(g: Graph, max_degree: Optional[int] = None) -> StabiliserChain:
-    """Generators and order of Aut(g), levels walked from n-1 down to 0.
-
-    Every generator found at a deeper level fixes 0..k-1, so it prunes the
-    candidates of level k.  The order is the product of the level orbit
-    sizes.  With `max_degree` set, graphs past the oracle bound are
-    rejected.
-    """
-    if max_degree is not None:
-        _check_bound(g, max_degree)
-    order, generators = _orbit_sizes(g, reversed(range(g.n)))
-    return StabiliserChain(g.n, order, tuple(generators))
+    return PermGroup(g.n, order, tuple(generators))
 
 
 def aut_order(g: Graph) -> int:
@@ -274,7 +247,7 @@ def _partition(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(classes.values())
 
 
-def orbits(group: PermGroup | StabiliserChain) -> list[list[int]]:
+def orbits(group: PermGroup) -> list[list[int]]:
     """Vertex classes under the group action, ordered by smallest member.
 
     They are the classes joined by the group's generators.
@@ -283,7 +256,7 @@ def orbits(group: PermGroup | StabiliserChain) -> list[list[int]]:
     return _partition(n, ((v, perm[v]) for perm in group.generators for v in range(n)))
 
 
-def orbitals(group: PermGroup | StabiliserChain) -> list[list[tuple[int, int]]]:
+def orbitals(group: PermGroup) -> list[list[tuple[int, int]]]:
     """Ordered-pair classes under the diagonal action, ordered by smallest pair."""
     n = group.n
     links = ((u * n + v, perm[u] * n + perm[v])
@@ -348,9 +321,7 @@ def _isomorphic(a: Graph, col_a: list[int], b: Graph, col_b: list[int]) -> bool:
 def is_vertex_transitive(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
     """True iff the automorphism group has a single vertex orbit."""
     _check_bound(g, max_degree)
-    if g.n <= 1:
-        return True
-    return _orbit_sizes(g, [0])[0] == g.n
+    return len(orbits(stabiliser_chain(g))) <= 1
 
 
 def wreath_order(aut_y_order: int, nx: int, aut_x_order: int) -> int:

@@ -10,6 +10,8 @@ from lexsym import (Graph, complete_graph, cycle_graph, disjoint_union, empty_gr
                     encode_graph6, lex_product, parse_graph, path_graph,
                     star_graph, write_graph)
 from lexsym.cli import run
+from lexsym.groups import wreath_order
+from lexsym.sweeps import CounterexampleError, sabidussi_sweep
 from lexsym.formats import GRAPH6_HEADER
 
 
@@ -120,6 +122,15 @@ class TestAnalyze:
         assert "verdict: wreath" in out
         assert "aut_order 128 = wreath_order 128" in out
 
+    def test_text_output_past_the_bound(self, capsys, write_file):
+        # C5[C5] has 25 vertices, past the default bound of 14
+        c5 = write_file("c5.g", cycle_graph(5))
+        assert run(["analyze", c5, c5]) == 0
+        assert capsys.readouterr().out == (
+            "verdict: wreath\n"
+            "quantum: FreeWreath(Qut(#50dfef4d),Qut(#50dfef4d))\n"
+            "classical: skipped(bound)\n")
+
 
 class TestDecompose:
     def test_cycle4(self, capsys, write_file):
@@ -186,6 +197,20 @@ class TestSweep:
         payload = run_json(capsys, ["sweep", "--max-nx", "1", "--max-ny", "1"])
         assert payload["pairs_verified"] == 1
 
+    def test_counterexample_aborts_with_a_reproducer(self, monkeypatch):
+        monkeypatch.setattr("lexsym.sweeps.wreath_order", lambda *f: wreath_order(*f) + 1)
+        with pytest.raises(CounterexampleError) as err:
+            sabidussi_sweep(2, 2)
+        k1 = write_graph(empty_graph(1))
+        assert f"X:\n{k1}Y:\n{k1}" in str(err.value)
+
+    def test_counterexample_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("lexsym.sweeps.wreath_order", lambda *f: wreath_order(*f) + 1)
+        assert run(["sweep", "--max-nx", "2", "--max-ny", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: wreath equivalence violated")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--max-nx", "-1", "--max-ny", "2"],
         ["sweep", "--max-nx", "2", "--max-ny", "-1"],
@@ -241,6 +266,14 @@ class TestErrors:
         path = write_file("huge.g", text="999999999999999999999999999999\n")
         assert run(["aut", path]) == 2
         assert "too large" in capsys.readouterr().err
+
+    def test_vertex_count_past_memory(self, capsys, write_file):
+        # the adjacency list of 2 * 10**18 rows is refused before any is made
+        path = write_file("huge.g", text=f"{2 * 10**18}\n")
+        assert run(["aut", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: not enough memory for this input\n"
+        assert captured.out == ""
 
     def test_non_utf8_file(self, capsys, tmp_path):
         # undecodable bytes reach the parser as U+FFFD and are rejected there

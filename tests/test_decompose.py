@@ -32,6 +32,17 @@ def substitute(q, parts):
     return Graph.from_edges(union.n, list(union.edges()) + cross)
 
 
+ROOK_STEPS = {(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)}
+SHRIKHANDE_STEPS = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+
+
+def z4_squared_cayley(steps):
+    """The Cayley graph on Z4 x Z4, vertex 4a + b for (a, b), with the
+    symmetric step set `steps`."""
+    return Graph.from_edges(16, [(u, v) for u, v in combinations(range(16), 2)
+                                 if ((v // 4 - u // 4) % 4, (v - u) % 4) in steps])
+
+
 # Connected and co-connected, with maximal strong modules {0, 1}, {2}, {3},
 # {4}: the chair's {0, 1} are twins, the tailed triangle's are complement
 # twins.
@@ -190,6 +201,22 @@ class TestDisjointUnionRule:
     def test_identical_components_skip_the_oracle(self):
         expr = qut_disjoint_union(copies(path_graph(15), 2))
         assert serialize(expr) == f"FreeWreath(Qut(#{content_hash(path_graph(15))}),S+(2))"
+
+    def test_stable_colour_signatures_split_equal_sized_classes(self):
+        # P4 and K1,3: 4 vertices and 3 edges each, told apart by signature
+        g, _ = disjoint_union([path_graph(4), star_graph(3)])
+        assert serialize(qut_disjoint_union(g)) == (
+            "FreeProd(Qut(#b2d21902),FreeProd(S+(1),S+(3)))")
+
+    def test_equal_signatures_give_indeterminate(self):
+        # the 4x4 rook's graph and the Shrikhande graph: both srg(16, 6, 2, 2),
+        # not isomorphic, and not told apart by 2-WL
+        g, _ = disjoint_union([z4_squared_cayley(ROOK_STEPS),
+                               z4_squared_cayley(SHRIKHANDE_STEPS)])
+        assert qut_disjoint_union(g, 16) == Indeterminate(
+            "possible quantum isomorphism across classes")
+        assert qut_disjoint_union(g) == Indeterminate(
+            "component isomorphism exceeds the oracle bound")
 
 
 class TestVtProductPathway:

@@ -39,6 +39,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(3, (0, 0))
 
+    def test_public_constructor_checks_count_range_and_loops(self):
+        with pytest.raises(GraphError, match="non-negative"):
+            Graph(-1, ())
+        with pytest.raises(GraphError, match="outside 0..1"):
+            Graph(2, (0b100, 0))
+        with pytest.raises(GraphError, match="loop at vertex 0"):
+            Graph(2, (0b01, 0))
+
     def test_vertex_range_checked(self):
         g = complete_graph(3)
         with pytest.raises(GraphError):

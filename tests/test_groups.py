@@ -54,23 +54,23 @@ class TestAutomorphisms:
     def test_cycle4_group(self):
         group = automorphisms(cycle_graph(4))
         assert group.order == 8
-        assert tuple(range(4)) in group.elements
+        assert tuple(range(4)) in group.generators
 
     def test_path_group(self):
         assert automorphisms(path_graph(4)).order == 2
 
     def test_elements_sorted_and_unique(self):
         group = automorphisms(cycle_graph(5))
-        assert list(group.elements) == sorted(set(group.elements))
+        assert list(group.generators) == sorted(set(group.generators))
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=1, max_n=5))
     def test_group_axioms(self, g):
         group = automorphisms(g)
-        elements = set(group.elements)
+        elements = set(group.generators)
         identity = tuple(range(g.n))
         assert identity in elements
-        for p in group.elements:
+        for p in group.generators:
             inverse = [0] * g.n
             for i, v in enumerate(p):
                 inverse[v] = i
@@ -82,7 +82,7 @@ class TestAutomorphisms:
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=1, max_n=5))
     def test_elements_preserve_adjacency(self, g):
-        for p in automorphisms(g).elements:
+        for p in automorphisms(g).generators:
             assert apply_permutation(g, p) == g
 
     def test_bound_enforced(self):
@@ -132,7 +132,7 @@ class TestStabiliserChain:
             chain = stabiliser_chain(g)
             group = automorphisms(g)
             assert chain.order == group.order
-            assert set(chain.generators) <= set(group.elements)
+            assert set(chain.generators) <= set(group.generators)
             assert orbits(chain) == orbits(group), g
             assert len(orbitals(chain)) == len(orbitals(group)), g
 
