@@ -7,7 +7,7 @@ analysis, and symbolic (free) wreath-product expressions for small graphs.
 from .graphs import (Graph, TwinPartition, complement, connected_components,
                      complete_graph, cycle_graph, disjoint_union, empty_graph,
                      lex_product, path_graph, star_graph, twin_partition)
-from .formats import decode_graph6, encode_graph6, parse_graph, write_graph
+from .formats import decode_graph6, parse_graph, write_graph
 from .wl import (PairColouring, RefinementTrace, first_round, refine_step,
                  refinements, stable_colouring, table1_closed_form)
 from .groups import (PermGroup, automorphisms, aut_order, orbits, orbitals,

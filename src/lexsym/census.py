@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _bits, empty_graph
+from .graphs import Graph, _bits, _trusted, empty_graph
 from .groups import _isomorphic, refined_vertex_colours
 
 
@@ -31,7 +31,7 @@ def unlabelled_graphs(n: int) -> tuple[Graph, ...]:
             rows = list(base.rows) + [attach]
             for v in _bits(attach):
                 rows[v] |= 1 << (n - 1)
-            candidate = Graph(n, tuple(rows))
+            candidate = _trusted(n, tuple(rows))
             colours = refined_vertex_colours(candidate)
             key = tuple(sorted((c, tuple(sorted(colours[w] for w in _bits(row))))
                                for c, row in zip(colours, candidate.rows)))

@@ -1,4 +1,4 @@
-"""Graph serialization: plain edge-list text and graph6.
+"""Graph input and output: edge-list text both ways, graph6 read only.
 
 Text format: first significant line is the vertex count, each following
 line is one edge `u v` (0-based).  Lines starting with `#` are comments.
@@ -117,29 +117,6 @@ def decode_graph6(line: str) -> Graph:
                 edges.append((u, v))
             k += 1
     return Graph.from_edges(n, edges)
-
-
-def encode_graph6(g: Graph) -> str:
-    n = g.n
-    if n <= 62:
-        head = [n]
-    elif n <= 258047:
-        head = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
-    else:
-        raise FormatError("graph too large for graph6 encoding")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        b = 0
-        for bit in bits[i:i + 6]:
-            b = b << 1 | bit
-        body.append(b)
-    return "".join(chr(b + 63) for b in head + body)
 
 
 def content_hash(g: Graph) -> str:

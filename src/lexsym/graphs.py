@@ -1,8 +1,9 @@
 """Simple undirected graphs and lexicographic-product constructions.
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as bit-packed
-rows (one Python int per vertex), which keeps neighbourhood intersections
-and complement computations cheap at desk scale.
+rows (one Python int per vertex).  A `Graph` built from outside rows is
+checked once, in O(n + m); graphs derived from checked ones (products,
+complements, disjoint unions, census candidates) are built unchecked.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ class GraphError(ValueError):
 class Graph:
     """An immutable simple graph on vertices 0..n-1.
 
-    `rows[u]` is a bitmask of the neighbours of `u`; the relation is kept
-    symmetric and loop-free by construction.
+    `rows[u]` is a bitmask of the neighbours of `u`, symmetric and loop-free.
     """
 
     n: int
@@ -31,27 +31,23 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         if len(self.rows) != self.n:
             raise GraphError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
         for u, row in enumerate(self.rows):
-            if row & ~full:
+            if row < 0 or row.bit_length() > self.n:
                 raise GraphError(f"row {u} references vertices outside 0..{self.n - 1}")
             if row >> u & 1:
                 raise GraphError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.rows[u] >> v & 1) != (self.rows[v] >> u & 1):
-                    raise GraphError(f"adjacency not symmetric at ({u}, {v})")
+            while row:
+                v = (row & -row).bit_length() - 1
+                if not self.rows[v] >> u & 1:
+                    raise GraphError(f"adjacency not symmetric at ({min(u, v)}, {max(u, v)})")
+                row &= row - 1
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"loop edge ({u}, {v}) rejected")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -79,8 +75,8 @@ class Graph:
 
 def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
     """A `Graph` from rows that are symmetric, loop-free and in range by
-    construction, without the O(n^2) checks of `Graph.__post_init__`.  Only
-    for constructors that derive the rows from valid graphs."""
+    construction, without the checks of `Graph.__post_init__`.  Only for
+    constructors that derive the rows from valid graphs."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)

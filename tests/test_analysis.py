@@ -6,8 +6,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 
+import lexsym.analysis
 import lexsym.wl
-from conftest import apply_permutation, graphs
+from conftest import apply_permutation, graphs, initial_colouring
 from lexsym import (analyze_product, aut_order, complement, complete_graph,
                     cycle_graph, empty_graph, lex_product, path_graph,
                     sabidussi_conditions, serialize, stable_colouring, star_graph,
@@ -142,6 +143,18 @@ class TestSeparation:
         assert len(pairs) == 3431
         for x, y in pairs:
             assert check_first_iteration_consequences(x, y) == [], (x.rows, y.rows)
+
+    def test_first_iteration_consequences_report_violations(self, monkeypatch):
+        # with the unrefined diagonal/edge/non-edge round in place of the
+        # first round, P3[P3]'s inner and outer pairs are not distinguished
+        assert check_first_iteration_consequences(path_graph(3), path_graph(3)) == []
+        monkeypatch.setattr(lexsym.analysis, "first_round", initial_colouring)
+        violations = check_first_iteration_consequences(path_graph(3), path_graph(3))
+        assert len(violations) == 135
+        assert set(violations) == {
+            "edges: outer endpoints 0,1 are not twins",
+            "edges: outer endpoints 1,2 are not twins",
+            "nonedges: inner endpoints 0,2 share a witness vertex"}
 
 
 class TestAnalyze:

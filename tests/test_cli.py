@@ -7,7 +7,7 @@ import pytest
 
 from conftest import petersen_graph
 from lexsym import (Graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
-                    encode_graph6, lex_product, parse_graph, path_graph,
+                    lex_product, parse_graph, path_graph,
                     star_graph, write_graph)
 from lexsym.cli import run
 from lexsym.groups import wreath_order
@@ -80,6 +80,15 @@ class TestAut:
         path = write_file("big.g", empty_graph(15))
         assert run(["aut", path]) == 2
         assert "oracle bound" in capsys.readouterr().err
+
+    def test_bound_exceeded_on_a_large_edge_list(self, capsys, write_file):
+        # reading 200,000 vertices is linear in the graph, so the bound is
+        # reached at once, not after 2 * 10**10 symmetry tests
+        path = write_file("large.g", text="200000\n0 199999\n")
+        assert run(["aut", path]) == 2
+        captured = capsys.readouterr()
+        assert "oracle bound" in captured.err
+        assert captured.out == ""
 
     def test_max_degree_flag(self, capsys, write_file):
         path = write_file("c5.g", cycle_graph(5))
@@ -227,7 +236,7 @@ class TestSweep:
 
 class TestFormats:
     def test_graph6_flag(self, capsys, write_file):
-        path = write_file("c5.g6", text=encode_graph6(cycle_graph(5)) + "\n")
+        path = write_file("c5.g6", text="Dhc\n")
         payload = run_json(capsys, ["--format", "graph6", "aut", path])
         assert payload["order"] == 10
 

@@ -83,6 +83,11 @@ class TestToTree:
         assert to_tree(FreeProd((SPlus(2), SPlus(3))))["children"][1]["n"] == 3
         assert to_tree(Indeterminate("x"))["reason"] == "x"
 
+    def test_non_expressions_rejected(self):
+        for render in (serialize, to_tree):
+            with pytest.raises(TypeError, match="not a group expression"):
+                render(object())
+
 
 class TestValidation:
     def test_splus_positive(self):
@@ -137,6 +142,10 @@ class TestOrders:
     def test_degree_of_indeterminate_rejected(self):
         with pytest.raises(ValueError):
             degree(Indeterminate("x"))
+
+    def test_classical_order_of_indeterminate_rejected(self):
+        with pytest.raises(ValueError, match="no order"):
+            classical_order(Indeterminate("x"))
 
     def test_classical_order_values(self):
         assert classical_order(SPlus(4)) == 24

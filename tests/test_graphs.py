@@ -47,6 +47,22 @@ class TestConstruction:
         with pytest.raises(GraphError, match="loop at vertex 0"):
             Graph(2, (0b01, 0))
 
+    def test_large_one_sided_edge_rejected(self):
+        # the check looks up the mirror of each set bit, not every vertex pair
+        n = 200_000
+        rows = [0] * n
+        rows[n - 2] = 1 << (n - 1)
+        with pytest.raises(GraphError, match=r"^adjacency not symmetric at \(199998, 199999\)$"):
+            Graph(n, tuple(rows))
+
+    def test_large_row_past_the_last_vertex_rejected(self):
+        n = 200_000
+        rows = [0] * n
+        rows[7] = 1 << n
+        with pytest.raises(GraphError,
+                           match=r"^row 7 references vertices outside 0\.\.199999$"):
+            Graph(n, tuple(rows))
+
     def test_vertex_range_checked(self):
         g = complete_graph(3)
         with pytest.raises(GraphError):
