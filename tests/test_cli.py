@@ -82,8 +82,8 @@ class TestAut:
         assert "oracle bound" in capsys.readouterr().err
 
     def test_bound_exceeded_on_a_large_edge_list(self, capsys, write_file):
-        # reading 200,000 vertices is linear in the graph, so the bound is
-        # reached at once, not after 2 * 10**10 symmetry tests
+        # the graph is checked in time linear in its size, so the bound
+        # is reached at once
         path = write_file("large.g", text="200000\n0 199999\n")
         assert run(["aut", path]) == 2
         captured = capsys.readouterr()

@@ -48,17 +48,18 @@ class TestConstruction:
             Graph(2, (0b01, 0))
 
     def test_large_one_sided_edge_rejected(self):
-        # the check looks up the mirror of each set bit, not every vertex pair
+        # the check is linear in the graph: it looks up the mirror of each set bit
         n = 200_000
         rows = [0] * n
         rows[n - 2] = 1 << (n - 1)
         with pytest.raises(GraphError, match=r"^adjacency not symmetric at \(199998, 199999\)$"):
             Graph(n, tuple(rows))
 
-    def test_large_row_past_the_last_vertex_rejected(self):
+    @pytest.mark.parametrize("row", [1 << 200_000, -1], ids=["bit_past_n", "negative"])
+    def test_large_row_past_the_last_vertex_rejected(self, row):
         n = 200_000
         rows = [0] * n
-        rows[7] = 1 << n
+        rows[7] = row
         with pytest.raises(GraphError,
                            match=r"^row 7 references vertices outside 0\.\.199999$"):
             Graph(n, tuple(rows))
