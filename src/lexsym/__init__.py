@@ -9,7 +9,7 @@ from .graphs import (Graph, TwinPartition, complement, connected_components,
                      lex_product, path_graph, star_graph, twin_partition)
 from .formats import decode_graph6, parse_graph, write_graph
 from .wl import (PairColouring, RefinementTrace, first_round, refine_step,
-                 refinements, stable_colouring, table1_closed_form)
+                 refinements, stable_colouring)
 from .groups import (PermGroup, automorphisms, aut_order, orbits, orbitals,
                      is_isomorphic, is_vertex_transitive, stabiliser_chain, wreath_order)
 from .analysis import (AnalysisReport, ConditionReport, SeparationReport,

@@ -6,6 +6,15 @@ the factor symmetries, verifies the separation of inner and outer
 it (`_witnesses` is the one path listing the pairs left unseparated), and
 assembles a serializable report with a symbolic expression and an optional
 brute-force cross-check.
+
+The first round is decided from the factors, without building x[y]:
+`first_round` keys a pair by (initial code, deg p, deg q, |N(p) & N(q)|)
+and gives equal colours exactly to equal keys, so colour sets are disjoint
+exactly when key sets are (the code is constant over edges and over
+non-edges).  For p = (a, i), q = (b, j), n = |V(y)|, d the degree and c
+the common-neighbour count (the general form of the paper's Table 1):
+deg p = d_x(a)*n + d_y(i); an inner pair (a = b) has c_y(i, j) + d_x(a)*n
+common neighbours, an outer one c_x(a, b)*n + [ab in E(x)]*(d_y(i) + d_y(j)).
 """
 
 from __future__ import annotations
@@ -103,6 +112,30 @@ def _witnesses(c: PairColouring, inner: list, outer: list) -> list:
             for e2, s2 in zip(outer, outer_sets) if s1 & s2]
 
 
+def _first_round_separates(x: Graph, y: Graph) -> bool:
+    """Whether round 1 of x[y] separates inner from outer edges and non-edges,
+    read from the keys of the module docstring on the factors alone."""
+    n = y.n
+    factor_keys = []
+    for g in (x, y):
+        degs = [row.bit_count() for row in g.rows]
+        keys = (set(), set())  # edges, non-edges
+        for u, row in enumerate(g.rows):
+            for v in range(g.n):
+                if u != v:
+                    keys[not row >> v & 1].add(
+                        (degs[u], degs[v], (row & g.rows[v]).bit_count()))
+        factor_keys.append(keys)
+    shifts = {row.bit_count() * n for row in x.rows}
+    y_degs = {row.bit_count() for row in y.rows}
+    for adjacent, x_keys, y_keys in zip((1, 0), *factor_keys):
+        inner = {(s + di, s + dj, s + c) for s in shifts for di, dj, c in y_keys}
+        if any((da * n + di, db * n + dj, c * n + adjacent * (di + dj)) in inner
+               for da, db, c in x_keys for di in y_degs for dj in y_degs):
+            return False
+    return True
+
+
 def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     """Check that the stable colouring of x[y] strongly separates inner from
     outer edges and inner from outer non-edges.
@@ -114,7 +147,16 @@ def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     disjoint in every later round, the stable one included: the first round
     where both tests pass decides that x[y] separates.  When no round does,
     `_witnesses` reads the failing pairs from the last, stable round.
+
+    Round 1 is tested on the factors by `_first_round_separates`, with the
+    keys of the module docstring (deg p = d_x(a)*|V(y)| + d_y(i); inner
+    common count c_y(i, j) + d_x(a)*|V(y)|, outer c_x(a, b)*|V(y)| + [ab in
+    E(x)]*(d_y(i) + d_y(j)): the paper's Table 1, generalised).  Equal keys
+    are equal colours, so the test is exact; x[y] is built only when it
+    fails.  A factor with no vertex is left to `lex_product` to refuse.
     """
+    if x.n and y.n and _first_round_separates(x, y):
+        return SeparationReport(True, True, ())
     product = lex_product(x, y)
     n = product.n
     inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)

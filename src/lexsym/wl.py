@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .graphs import Graph, GraphError, complement
+from .graphs import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -142,45 +142,3 @@ def stable_colouring(g: Graph) -> RefinementTrace:
         pass
     return RefinementTrace(current, stable_round)
 
-
-def table1_closed_form(x: Graph, y: Graph, p: tuple[int, int],
-                       q: tuple[int, int]) -> dict[tuple[int, int], int]:
-    """The paper's Table 1: the counts of middle vertices z of an edge (p, q)
-    of the lexicographic product, keyed by the codes (1 = edge, 2 = non-edge)
-    of the pairs (p, z) and (z, q).
-
-    Inner edge (p, q in the same copy of the right factor at position a):
-        D11 = |N_Y(py) & N_Y(qy)| + |N_X(a)| * n
-        D12 = |N_Y(py) & N_Yc(qy)|
-        D21 = |N_Yc(py) & N_Y(qy)|
-        D22 = |N_Yc(py) & N_Yc(qy)| + |N_Xc(a)| * n
-    Outer edge:
-        D11 = |N_Y(py)| + |N_Y(qy)| + |N_X(px) & N_X(qx)| * n
-        D12 = |N_Yc(qy)| + |N_X(px) & N_Xc(qx)| * n
-        D21 = |N_Yc(py)| + |N_Xc(px) & N_X(qx)| * n
-        D22 = |N_Xc(px) & N_Xc(qx)| * n
-    where n = |V(Y)| and N_*c are neighbourhoods in the complement.
-    Degenerate counts involving the diagonal colour are omitted.
-    """
-    (px, py), (qx, qy) = p, q
-    if not (0 <= px < x.n and 0 <= qx < x.n and 0 <= py < y.n and 0 <= qy < y.n):
-        raise GraphError("product vertex out of range")
-    inner = px == qx
-    if not (y.rows[py] >> qy & 1 if inner else x.rows[px] >> qx & 1):
-        raise GraphError("closed-form triangle counts require a product edge")
-    xc = complement(x)
-    yc = complement(y)
-    n = y.n
-    if inner:
-        a = px
-        d11 = (y.rows[py] & y.rows[qy]).bit_count() + x.rows[a].bit_count() * n
-        d12 = (y.rows[py] & yc.rows[qy]).bit_count()
-        d21 = (yc.rows[py] & y.rows[qy]).bit_count()
-        d22 = (yc.rows[py] & yc.rows[qy]).bit_count() + xc.rows[a].bit_count() * n
-    else:
-        d11 = (y.rows[py].bit_count() + y.rows[qy].bit_count()
-               + (x.rows[px] & x.rows[qx]).bit_count() * n)
-        d12 = yc.rows[qy].bit_count() + (x.rows[px] & xc.rows[qx]).bit_count() * n
-        d21 = yc.rows[py].bit_count() + (xc.rows[px] & x.rows[qx]).bit_count() * n
-        d22 = (xc.rows[px] & xc.rows[qx]).bit_count() * n
-    return {(1, 1): d11, (1, 2): d12, (2, 1): d21, (2, 2): d22}

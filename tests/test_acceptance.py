@@ -13,7 +13,8 @@ import subprocess
 import sys
 import time
 
-from conftest import direct_profile, distance_matrix, initial_colouring
+from conftest import (direct_profile, distance_matrix, initial_colouring,
+                      table1_closed_form)
 from lexsym import (analyze_product, aut_order, automorphisms, complement,
                     complete_graph, cycle_graph, disjoint_union, empty_graph,
                     is_isomorphic, lex_product, orbitals, sabidussi_conditions,
@@ -24,7 +25,7 @@ from lexsym.census import unlabelled_graphs_upto
 from lexsym.decompose import qut_disjoint_union, split
 from lexsym.expressions import degree
 from lexsym.graphs import induced_subgraph
-from lexsym.wl import refine_step, table1_closed_form
+from lexsym.wl import refine_step
 
 
 def graphs_by_order(max_n):

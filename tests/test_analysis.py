@@ -8,13 +8,14 @@ from hypothesis import given, settings
 
 import lexsym.analysis
 import lexsym.wl
-from conftest import apply_permutation, graphs, initial_colouring
+from conftest import apply_permutation, graphs, initial_colouring, petersen_graph
 from lexsym import (analyze_product, aut_order, complement, complete_graph,
-                    cycle_graph, empty_graph, lex_product, path_graph,
-                    sabidussi_conditions, serialize, stable_colouring, star_graph,
-                    verify_wl_separation, wreath_order,
+                    cycle_graph, disjoint_union, empty_graph, first_round,
+                    lex_product, path_graph, sabidussi_conditions, serialize,
+                    stable_colouring, star_graph, verify_wl_separation, wreath_order,
                     check_first_iteration_consequences)
-from lexsym.analysis import SeparationReport, _pair_buckets
+from lexsym.analysis import SeparationReport, _first_round_separates, _pair_buckets
+from lexsym.graphs import GraphError
 from lexsym.census import unlabelled_graphs, unlabelled_graphs_upto
 from lexsym.expressions import Indeterminate, classical_order, degree
 
@@ -46,6 +47,22 @@ def reference_verify_wl_separation(x, y):
     nonedges_ok, nonedge_witnesses = reference_separation(c, inner_ne, outer_ne)
     return SeparationReport(edges_ok, nonedges_ok,
                             tuple(edge_witnesses + nonedge_witnesses))
+
+
+def reference_first_round_separates(x, y):
+    """Whether the first round of the built product x[y] gives inner and
+    outer edges, and inner and outer non-edges, disjoint colours."""
+    product = lex_product(x, y)
+    c = first_round(product)
+    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
+    return all(reference_separation(c, inner, outer)[0]
+               for inner, outer in ((inner_e, outer_e), (inner_ne, outer_ne)))
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return apply_permutation(g, perm)
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +153,29 @@ class TestSeparation:
             verify_wl_separation(x, y)
         assert calls == 1136
 
+    def test_first_round_calls_on_criterion_2_pairs(self, monkeypatch):
+        # the first round is decided from the factors for 5018 of the 6132
+        # criterion 2 pairs; only the other 1114 build x[y] and refine it
+        calls = 0
+        first_round = lexsym.wl.first_round
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return first_round(g)
+
+        monkeypatch.setattr(lexsym.wl, "first_round", counting)
+        holding, _ = census_pairs()
+        for x, y in holding:
+            verify_wl_separation(x, y)
+        assert calls == 1114
+
+    @pytest.mark.parametrize("x, y", [(empty_graph(0), complete_graph(2)),
+                                      (complete_graph(2), empty_graph(0))])
+    def test_empty_factor_is_refused(self, x, y):
+        with pytest.raises(GraphError):
+            verify_wl_separation(x, y)
+
     def test_first_iteration_consequences_clean(self):
         # every census pair with a product of at most 12 vertices, whether
         # or not the conditions hold
@@ -155,6 +195,36 @@ class TestSeparation:
             "edges: outer endpoints 0,1 are not twins",
             "edges: outer endpoints 1,2 are not twins",
             "nonedges: inner endpoints 0,2 share a witness vertex"}
+
+
+class TestFirstRoundFromFactors:
+    def test_equals_the_product_round_on_census_pairs(self):
+        # products of at most 16 vertices: round 1 separates 5018 of the
+        # 6132 pairs where both conditions hold and none of the 1868 others
+        holding, failing = census_pairs()
+        assert (len(holding), len(failing)) == (6132, 1868)
+        separated = []
+        for pairs in (holding, failing):
+            answers = [_first_round_separates(x, y) for x, y in pairs]
+            assert answers == [reference_first_round_separates(x, y) for x, y in pairs]
+            separated.append(sum(answers))
+        assert separated == [5018, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(min_n=1, max_n=6), graphs(min_n=1, max_n=5))
+    def test_equals_the_product_round_on_labelled_pairs(self, x, y):
+        assert _first_round_separates(x, y) == reference_first_round_separates(x, y)
+
+    @pytest.mark.parametrize("name, x, y, separated", [
+        ("C7[C6]", cycle_graph(7), cycle_graph(6), True),
+        ("C5[C5]", cycle_graph(5), cycle_graph(5), True),
+        ("C4[3K2]", cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0], False),
+        ("Petersen[K2]", petersen_graph(), complete_graph(2), True)])
+    def test_named_products(self, name, x, y, separated):
+        rng = random.Random(name)
+        for x, y in ((x, y), (relabelled(x, rng), relabelled(y, rng))):
+            assert reference_first_round_separates(x, y) is separated
+            assert _first_round_separates(x, y) is separated
 
 
 class TestAnalyze:
@@ -221,19 +291,13 @@ class TestAnalyze:
         # Sabidussi's identity on a seeded sample of 40 census pairs per
         # shape, with factors and product relabelled
         rng = random.Random(24)
-
-        def relabel(g):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            return apply_permutation(g, perm)
-
         tally = {True: 0, False: 0}
         for nx, ny in [(4, 6), (6, 4), (4, 5), (5, 4), (6, 3), (3, 6)]:
             pairs = [(x, y) for x in unlabelled_graphs(nx) for y in unlabelled_graphs(ny)]
             for x, y in rng.sample(pairs, 40):
-                x, y = relabel(x), relabel(y)
+                x, y = relabelled(x, rng), relabelled(y, rng)
                 holds = sabidussi_conditions(x, y).wreath_holds
-                order = aut_order(relabel(lex_product(x, y)))
+                order = aut_order(relabelled(lex_product(x, y), rng))
                 worder = wreath_order(aut_order(y), x.n, aut_order(x))
                 assert order == worder if holds else order > worder, (x.rows, y.rows)
                 tally[holds] += 1

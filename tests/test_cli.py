@@ -185,6 +185,15 @@ class TestVerify:
         assert payload["nonedges_separated"] is False
         assert len(payload["witnesses"]) > 0
 
+    def test_empty_factor_is_refused(self, capsys, write_file):
+        x = write_file("k0.g", text="0\n")
+        y = write_file("k2.g", complete_graph(2))
+        for argv in (["verify", x, y], ["verify", y, x]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+
 
 class TestSweep:
     def test_tiny_sweep(self, capsys):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (graphs, graph_with_permutation, apply_permutation,
-                      direct_profile, initial_colouring)
+                      direct_profile, initial_colouring, table1_closed_form)
 from lexsym import (complete_graph, cycle_graph, empty_graph, lex_product,
                     path_graph, star_graph, first_round, refine_step, refinements,
-                    stable_colouring, table1_closed_form)
+                    stable_colouring)
 from lexsym.census import unlabelled_graphs_upto
 from lexsym.graphs import GraphError
 from lexsym.wl import _canonical_rename
