@@ -179,7 +179,10 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
     """After exactly one refinement round on x[y], every inner/outer edge pair
     that is not strongly distinguished must have outer endpoints that are
     twins in the complement of x and inner endpoints with no common
-    non-neighbour in y; dually for non-edge pairs.  Returns violations."""
+    non-neighbour in y; dually for non-edge pairs.  Returns violations: none,
+    without building x[y], when `_first_round_separates` holds."""
+    if x.n and y.n and _first_round_separates(x, y):
+        return []
     product = lex_product(x, y)
     c1 = first_round(product)
     inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)

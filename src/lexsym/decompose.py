@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, GraphError, _bits, complement, connected_components,
+from .graphs import (Graph, GraphError, _bits, _trusted, complement, connected_components,
                      disjoint_union, induced_subgraph, is_connected, twin_partition)
 from .groups import DEFAULT_MAX_DEGREE, OracleBoundError, is_isomorphic
 from .wl import stable_colouring
@@ -43,16 +43,17 @@ def _quotient(g: Graph, classes: tuple[tuple[int, ...], ...]) -> Graph:
 
     Raises AssertionError unless every class is a module (each vertex
     outside it sees all or none of it): that is what makes g the quotient
-    with each vertex replaced by its class.
+    with each vertex replaced by its class, and the unchecked rows symmetric.
+    The classes must partition the vertices.
     """
     masks = [sum(1 << v for v in cls) for cls in classes]
+    rows = []
     for cls, mask in zip(classes, masks):
         outside = g.rows[cls[0]] & ~mask
         if any(g.rows[v] & ~mask != outside for v in cls):
             raise AssertionError("quotient reconstruction failed: a class is not a module")
-    k = len(classes)
-    return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)
-                                if g.rows[classes[i][0]] & masks[j]])
+        rows.append(sum(1 << j for j, m in enumerate(masks) if outside & m))
+    return _trusted(len(classes), tuple(rows))
 
 
 def _module_closure(g: Graph, mask: int) -> int:
@@ -102,7 +103,8 @@ def split(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> DecompositionReport
     on); uniform twin classes; uniform complement-twin classes; otherwise
     'none'.
     """
-    for kind, h in (("components", g), ("co-components", complement(g))):
+    co = complement(g)
+    for kind, h in (("components", g), ("co-components", co)):
         comps = tuple(map(tuple, connected_components(h)))
         if len(comps) > 1:
             return DecompositionReport(kind, comps, _quotient(g, comps))
@@ -114,7 +116,7 @@ def split(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> DecompositionReport
                 return DecompositionReport("modules", modules, _quotient(g, modules))
         except OracleBoundError:
             pass
-    for kind, h in (("twins", g), ("complement_twins", complement(g))):
+    for kind, h in (("twins", g), ("complement_twins", co)):
         tp = twin_partition(h)
         if (tp.uniform_size or 0) >= 2:
             return DecompositionReport(kind, tp.classes, _quotient(g, tp.classes))

@@ -1,9 +1,10 @@
 """Simple undirected graphs and lexicographic-product constructions.
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as bit-packed
-rows (one Python int per vertex).  A `Graph` built from outside rows is
-checked once, in O(n + m); graphs derived from checked ones (products,
-complements, disjoint unions, census candidates) are built unchecked.
+rows (one Python int per vertex).  `Graph(...)` and `Graph.from_edges`, for
+outside input and the named constructors, check a graph once, in O(n + m);
+graphs derived from checked ones (products, complements, disjoint unions,
+induced subgraphs, quotients, census candidates) are built unchecked.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.rows[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             row = self.rows[u] >> (u + 1) << (u + 1)
@@ -67,10 +63,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def _check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
-            raise GraphError(f"vertex {u} out of range for n={self.n}")
 
 
 def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
@@ -173,10 +165,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Induced subgraph on `vertices`, relabelled to 0..k-1 in the given order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-    return Graph.from_edges(len(vertices), edges)
+    """Induced subgraph on `vertices` (distinct and in range), relabelled to
+    0..k-1 in the given order; built unchecked."""
+    return _trusted(len(vertices), tuple(
+        sum(1 << j for j, v in enumerate(vertices) if g.rows[u] >> v & 1) for u in vertices))
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ def test_criterion_07_first_round_splits_twins():
                 if u == v:
                     continue
                 col = c1.colour(u, v)
-                if g.has_edge(u, v):
+                if g.rows[u] >> v & 1:
                     same_closed = g.rows[u] ^ (1 << v) == g.rows[v] ^ (1 << u)
                     (ctwins if same_closed else nonctwin_adj).add(col)
                 else:

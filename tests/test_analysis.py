@@ -188,6 +188,8 @@ class TestSeparation:
         # with the unrefined diagonal/edge/non-edge round in place of the
         # first round, P3[P3]'s inner and outer pairs are not distinguished
         assert check_first_iteration_consequences(path_graph(3), path_graph(3)) == []
+        # P3[P3] separates at round 1, which would skip the product altogether
+        monkeypatch.setattr(lexsym.analysis, "_first_round_separates", lambda x, y: False)
         monkeypatch.setattr(lexsym.analysis, "first_round", initial_colouring)
         violations = check_first_iteration_consequences(path_graph(3), path_graph(3))
         assert len(violations) == 135

@@ -185,6 +185,21 @@ class TestVerify:
         assert payload["nonedges_separated"] is False
         assert len(payload["witnesses"]) > 0
 
+    @pytest.mark.parametrize("x, y, built", [
+        (cycle_graph(7), cycle_graph(6), 0),
+        (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0], 2),
+    ], ids=["C7[C6]", "C4[3K2]"])
+    def test_product_built_only_when_round_one_does_not_separate(
+            self, capsys, write_file, monkeypatch, x, y, built):
+        # C7[C6] separates at round 1, so neither check builds the product;
+        # C4[3K2] does not, so both do
+        calls = []
+        monkeypatch.setattr("lexsym.analysis.lex_product",
+                            lambda *f: calls.append(f) or lex_product(*f))
+        payload = run_json(capsys, ["verify", write_file("x.g", x), write_file("y.g", y)])
+        assert len(calls) == built
+        assert payload["first_iteration_violations"] == []
+
     def test_empty_factor_is_refused(self, capsys, write_file):
         x = write_file("k0.g", text="0\n")
         y = write_file("k2.g", complete_graph(2))

@@ -52,7 +52,7 @@ TAILED_TRIANGLE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
 
 def is_module(g, vertices):
     inside = set(vertices)
-    return all(len({g.has_edge(w, v) for v in inside}) <= 1
+    return all(len({g.rows[w] >> v & 1 for v in inside}) <= 1
                for w in range(g.n) if w not in inside)
 
 
@@ -384,7 +384,7 @@ class TestWalkProperties:
             for i, j in combinations(range(len(rep.modules)), 2):
                 for u in rep.modules[i]:
                     for v in rep.modules[j]:
-                        assert g.has_edge(u, v) == rep.quotient.has_edge(i, j)
+                        assert g.rows[u] >> v & 1 == rep.quotient.rows[i] >> j & 1
         assert kinds == {"components", "co-components", "modules", "twins",
                          "complement_twins", "none"}
 
@@ -407,6 +407,33 @@ class TestWalkProperties:
                       if is_module(g, s)]
             maximal = sorted(tuple(sorted(m)) for m in proper if not any(m < o for o in proper))
             assert sorted(_maximal_modules(g)) == maximal
+
+    def test_quotient_matches_the_edge_list_reference(self):
+        kinds = set()
+        for g in small_graphs():
+            rep = split(g)
+            if rep.kind == "none":
+                continue
+            kinds.add(rep.kind)
+            k, firsts = len(rep.modules), [m[0] for m in rep.modules]
+            reference = Graph.from_edges(k, [(i, j) for i, j in combinations(range(k), 2)
+                                             if g.rows[firsts[i]] >> firsts[j] & 1])
+            assert _quotient(g, rep.modules) == reference == rep.quotient
+        assert kinds == {"components", "co-components", "modules", "twins",
+                         "complement_twins"}
+
+    def test_walk_and_verdicts_build_no_checked_graph(self, monkeypatch):
+        # every graph they derive comes from a checked one and is built unchecked
+        census = unlabelled_graphs_upto(7)
+        pairs = [(x, y) for x in census for y in census if x.n * y.n <= 12]
+        assert len(pairs) == 3431
+        checks = []
+        check = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: checks.append(g.n) or check(g))
+        for x, y in pairs:
+            analyze_product(x, y, 12)
+            qut_expression(lex_product(x, y), 12)
+        assert checks == []
 
     def test_quotient_rejects_a_class_that_is_not_a_module(self):
         with pytest.raises(AssertionError):
