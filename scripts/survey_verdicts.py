@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lexsym import analyze_product, sabidussi_conditions, verify_wl_separation
+from lexsym import analyze_product, verify_wl_separation
 from lexsym.census import unlabelled_graphs
 
 
@@ -38,8 +38,9 @@ def main(argv=None) -> int:
                                                * len(unlabelled_graphs(ny)))
                 continue
             for x, y in product(unlabelled_graphs(nx), unlabelled_graphs(ny)):
-                verdicts[analyze_product(x, y).verdict] += 1
-                if args.check_separation and not sabidussi_conditions(x, y).wreath_holds:
+                report = analyze_product(x, y)
+                verdicts[report.verdict] += 1
+                if args.check_separation and not report.conditions.wreath_holds:
                     sep = verify_wl_separation(x, y)
                     both = (sep.inner_outer_edges_separated
                             and sep.inner_outer_nonedges_separated)

@@ -2,19 +2,18 @@
 
 Decides whether the symmetry of x[y] factors as a (free) wreath product of
 the factor symmetries, verifies the separation of inner and outer
-(non-)edges by the 2-WL refinement, stopping at the first round that shows
-it (`_witnesses` is the one path listing the pairs left unseparated), and
-assembles a serializable report with a symbolic expression and an optional
-brute-force cross-check.
+(non-)edges by the 2-WL refinement, and assembles a serializable report
+with a symbolic expression and an optional brute-force cross-check.
 
-The first round is decided from the factors, without building x[y]:
-`first_round` keys a pair by (initial code, deg p, deg q, |N(p) & N(q)|)
-and gives equal colours exactly to equal keys, so colour sets are disjoint
-exactly when key sets are (the code is constant over edges and over
-non-edges).  For p = (a, i), q = (b, j), n = |V(y)|, d the degree and c
-the common-neighbour count (the general form of the paper's Table 1):
-deg p = d_x(a)*n + d_y(i); an inner pair (a = b) has c_y(i, j) + d_x(a)*n
-common neighbours, an outer one c_x(a, b)*n + [ab in E(x)]*(d_y(i) + d_y(j)).
+A 2-WL colour lies on one kind of pair (diagonal, edge or non-edge), so
+both separations hold exactly when no colour lies on an inner and an outer
+pair.  Round 1 is decided from the factors, without building x[y]: off the
+diagonal `first_round` keys a pair by ([pq in E], deg p, deg q,
+|N(p) & N(q)|), and equal keys are exactly equal colours.  For p = (a, i),
+q = (b, j), n = |V(y)|, d the degree and c the common-neighbour count (the
+general form of the paper's Table 1): deg p = d_x(a)*n + d_y(i); an inner
+pair (a = b) has c_y(i, j) + d_x(a)*n common neighbours, an outer one
+c_x(a, b)*n + [ab in E(x)]*(d_y(i) + d_y(j)).
 """
 
 from __future__ import annotations
@@ -113,62 +112,62 @@ def _witnesses(c: PairColouring, inner: list, outer: list) -> list:
 
 
 def _first_round_separates(x: Graph, y: Graph) -> bool:
-    """Whether round 1 of x[y] separates inner from outer edges and non-edges,
+    """Whether round 1 of x[y] gives inner and outer pairs disjoint colours,
     read from the keys of the module docstring on the factors alone."""
     n = y.n
     factor_keys = []
     for g in (x, y):
         degs = [row.bit_count() for row in g.rows]
-        keys = (set(), set())  # edges, non-edges
+        keys = set()
         for u, row in enumerate(g.rows):
             for v in range(g.n):
                 if u != v:
-                    keys[not row >> v & 1].add(
-                        (degs[u], degs[v], (row & g.rows[v]).bit_count()))
+                    keys.add((row >> v & 1, degs[u], degs[v],
+                              (row & g.rows[v]).bit_count()))
         factor_keys.append(keys)
+    x_keys, y_keys = factor_keys
     shifts = {row.bit_count() * n for row in x.rows}
     y_degs = {row.bit_count() for row in y.rows}
-    for adjacent, x_keys, y_keys in zip((1, 0), *factor_keys):
-        inner = {(s + di, s + dj, s + c) for s in shifts for di, dj, c in y_keys}
-        if any((da * n + di, db * n + dj, c * n + adjacent * (di + dj)) in inner
-               for da, db, c in x_keys for di in y_degs for dj in y_degs):
-            return False
-    return True
+    inner = {(e, s + di, s + dj, s + c) for s in shifts for e, di, dj, c in y_keys}
+    return not any((e, da * n + di, db * n + dj, c * n + e * (di + dj)) in inner
+                   for e, da, db, c in x_keys for di in y_degs for dj in y_degs)
+
+
+def _separates(c: PairColouring, ny: int) -> bool:
+    """Whether no colour of `c` lies on both an inner and an outer pair of
+    x[y], |V(y)| = `ny`: in row p, the block of `ny` holding the diagonal is
+    inner, the rest outer (diagonal colours lie on no outer pair)."""
+    colours, n = c.colours, c.n
+    inner, outer = set(), set()
+    for p in range(n):
+        row = p * n
+        start = row + p // ny * ny
+        inner.update(colours[start:start + ny])
+        outer.update(colours[row:start])
+        outer.update(colours[start + ny:row + n])
+    return inner.isdisjoint(outer)
 
 
 def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     """Check that the stable colouring of x[y] strongly separates inner from
     outer edges and inner from outer non-edges.
 
-    The rounds of `refinements` are walked, and at each the colours of the
-    inner and outer pairs (both orientations) are tested for disjointness,
-    once for edges and once for non-edges.  A pair's colour in one round
-    fixes its colour in the round before, so sets disjoint in one round stay
-    disjoint in every later round, the stable one included: the first round
-    where both tests pass decides that x[y] separates.  When no round does,
-    `_witnesses` reads the failing pairs from the last, stable round.
-
-    Round 1 is tested on the factors by `_first_round_separates`, with the
-    keys of the module docstring (deg p = d_x(a)*|V(y)| + d_y(i); inner
-    common count c_y(i, j) + d_x(a)*|V(y)|, outer c_x(a, b)*|V(y)| + [ab in
-    E(x)]*(d_y(i) + d_y(j)): the paper's Table 1, generalised).  Equal keys
-    are equal colours, so the test is exact; x[y] is built only when it
-    fails.  A factor with no vertex is left to `lex_product` to refuse.
+    Round 1 is decided on the factors by `_first_round_separates`; x[y] is
+    built only when it fails, and each round of `refinements` is then tested
+    once by `_separates`.  A pair's colour in one round fixes its colour in
+    the round before, so colours disjoint in one round stay disjoint in
+    every later round: the first round that passes decides.  When none
+    does, `_witnesses` lists the failing pairs of the stable round, edges
+    against edges, then non-edges against non-edges.  A factor with no
+    vertex is left to `lex_product` to refuse.
     """
     if x.n and y.n and _first_round_separates(x, y):
         return SeparationReport(True, True, ())
     product = lex_product(x, y)
-    n = product.n
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
-    # flat colour indices of both orientations of each pair
-    flat_inner_e, flat_outer_e, flat_inner_ne, flat_outer_ne = (
-        [i for p, q in pairs for i in (p * n + q, q * n + p)]
-        for pairs in (inner_e, outer_e, inner_ne, outer_ne))
     for c in refinements(product):
-        colour = c.colours.__getitem__
-        if (set(map(colour, flat_inner_e)).isdisjoint(map(colour, flat_outer_e))
-                and set(map(colour, flat_inner_ne)).isdisjoint(map(colour, flat_outer_ne))):
+        if _separates(c, y.n):
             return SeparationReport(True, True, ())
+    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
     edge_witnesses = _witnesses(c, inner_e, outer_e)
     nonedge_witnesses = _witnesses(c, inner_ne, outer_ne)
     return SeparationReport(not edge_witnesses, not nonedge_witnesses,

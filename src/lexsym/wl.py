@@ -13,10 +13,10 @@ and `stable_colouring` keeps the last.
 
 Because each round keys a pair by its previous colour (the first round by
 its initial code), a pair's colour in one round fixes its colour in every
-earlier round.  Two sets of pairs whose colours are disjoint in some round
-therefore stay disjoint in every later round, the stable one included, so
-a caller testing for such a separation may stop at the first round that
-shows it.
+earlier round.  So a colour lies on one kind of pair (diagonal, edge or
+non-edge), and two sets of pairs whose colours are disjoint in some round
+stay disjoint in every later round, the stable one included: a caller
+testing for such a separation may stop at the first round that shows it.
 
 The round encodes middle vertex z of the pair (u, v) as the single int
 c(u,z)*k + c(z,v), with k the number of colours.  Because 0 <= c(z,v) < k

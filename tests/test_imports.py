@@ -1,9 +1,9 @@
-"""Static hygiene of the package source: imports sit in the module header
-and are used.
+"""Static hygiene of the package source and the scripts: imports sit in
+the module header and are used.
 
 The package re-exports its API from `__init__.py`, so that file is exempt;
-every other module must use each name it imports at module level and
-import nothing inside a function body.
+every other module, and every script under `scripts/`, must use each name
+it imports at module level and import nothing inside a function body.
 """
 
 import ast
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "lexsym").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "lexsym").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
