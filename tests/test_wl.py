@@ -174,17 +174,13 @@ class TestRefinements:
         assert rounds[-1] == rounds[-2]
 
 
-def pair_kinds(g):
-    """The kind of each ordered pair, row-major: 0 diagonal, 1 edge, 2 non-edge."""
-    return [0 if u == v else 1 if g.rows[u] >> v & 1 else 2
-            for u in range(g.n) for v in range(g.n)]
-
-
 def assert_one_kind_per_colour(g):
     """In the initial colouring and in every round of `refinements(g)`, each
-    colour lies on one kind of pair only: the fact that lets one inner/outer
-    test decide the separation of edges and of non-edges."""
-    kinds = pair_kinds(g)
+    colour lies on one kind of pair only (0 diagonal, 1 edge, 2 non-edge):
+    the fact that lets one inner/outer test decide the separation of edges
+    and of non-edges."""
+    kinds = [0 if u == v else 1 if g.rows[u] >> v & 1 else 2
+             for u in range(g.n) for v in range(g.n)]
     for c in (initial_colouring(g), *refinements(g)):
         assert len(set(zip(c.colours, kinds))) == c.num_colours, g
 
