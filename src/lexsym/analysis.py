@@ -18,13 +18,16 @@ c_x(a, b)*n + [ab in E(x)]*(d_y(i) + d_y(j)).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
                      lex_product)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
-from .wl import PairColouring, first_round, refinements
+from .wl import (PairColouring, _canonical_rename, _initial_class_count, _row_keys,
+                 first_round)
 from .expressions import (FreeWreath, GroupExpr, Indeterminate, serialize,
                           serialize_classical, simplify, to_tree)
 from .decompose import analyze_vt_product, certified
@@ -105,10 +108,20 @@ def _colour_set(c: PairColouring, pair: tuple[int, int]) -> frozenset[int]:
 
 def _witnesses(c: PairColouring, inner: list, outer: list) -> list:
     """The (inner, outer) pairs, inner-major, whose colour sets (both
-    orientations) meet under `c`: the pairs `c` does not strongly separate."""
-    outer_sets = [_colour_set(c, e) for e in outer]
-    return [(e1, e2) for e1 in inner for s1 in [_colour_set(c, e1)]
-            for e2, s2 in zip(outer, outer_sets) if s1 & s2]
+    orientations) meet under `c`: the pairs `c` does not strongly separate.
+    The outer pairs are indexed by colour, so the work grows with the pairs
+    and the witnesses rather than with inner times outer."""
+    by_colour: dict[int, list[int]] = {}
+    for i, e2 in enumerate(outer):
+        for colour in _colour_set(c, e2):
+            by_colour.setdefault(colour, []).append(i)
+    witnesses = []
+    for e1 in inner:
+        hits: set[int] = set()
+        for colour in _colour_set(c, e1):
+            hits.update(by_colour.get(colour, ()))
+        witnesses.extend([(e1, outer[i]) for i in sorted(hits)])
+    return witnesses
 
 
 def _first_round_separates(x: Graph, y: Graph) -> bool:
@@ -133,8 +146,8 @@ def _first_round_separates(x: Graph, y: Graph) -> bool:
                    for e, da, db, c in x_keys for di in y_degs for dj in y_degs)
 
 
-def _separates(c: PairColouring, ny: int) -> bool:
-    """Whether no colour of `c` lies on both an inner and an outer pair of
+def _mixed_colours(c: PairColouring, ny: int) -> set[int]:
+    """The colours of `c` that lie on both an inner and an outer pair of
     x[y], |V(y)| = `ny`: in row p, the block of `ny` holding the diagonal is
     inner, the rest outer (diagonal colours lie on no outer pair)."""
     colours, n = c.colours, c.n
@@ -145,7 +158,85 @@ def _separates(c: PairColouring, ny: int) -> bool:
         inner.update(colours[start:start + ny])
         outer.update(colours[row:start])
         outer.update(colours[start + ny:row + n])
-    return inner.isdisjoint(outer)
+    return inner & outer
+
+
+def _next_round(c: PairColouring, ny: int, mixed: set[int]) -> Optional[PairColouring]:
+    """The round after `c` of x[y], |V(y)| = `ny`, or None when it
+    separates.  Only the pairs whose colour is in `mixed` are keyed first:
+    a key holds the pair's colour in `c`, so the others cannot share a key
+    with a pair on the other side, and the round separates exactly when the
+    inner mixed pairs' keys miss the outer ones'.  At the first row whose
+    keys meet the other side's, the round is built instead: the rows keyed
+    in part get the keys of their other pairs, the rest are keyed whole,
+    and the round is renamed as `refine_step` renames it."""
+    n, k, colours = c.n, c.num_colours, c.colours
+    columns = [colours[v::n] for v in range(n)]
+    rows = [colours[p * n:(p + 1) * n] for p in range(n)]
+    keyed, inner_keys, outer_keys = {}, set(), set()
+    for p, row in enumerate(rows):
+        if mixed.isdisjoint(row):
+            continue
+        flags = [colour in mixed for colour in row]
+        vs = list(compress(range(n), flags))
+        keys = list(_row_keys(row, k, compress(row, flags), compress(columns, flags)))
+        keyed[p] = flags, vs, keys
+        start = p // ny * ny
+        lo, hi = bisect_left(vs, start), bisect_left(vs, start + ny)
+        inner, outer = set(keys[lo:hi]), set(keys[:lo] + keys[hi:])
+        inner_keys |= inner
+        outer_keys |= outer
+        if not (inner_keys.isdisjoint(outer) and outer_keys.isdisjoint(inner)):
+            break
+    else:
+        return None
+    raw = []
+    for p, row in enumerate(rows):
+        if p not in keyed:
+            raw.extend(_row_keys(row, k, row, columns))
+            continue
+        flags, vs, keys = keyed[p]
+        rest = [not flag for flag in flags]
+        line = list(_row_keys(row, k, compress(row, rest), compress(columns, rest)))
+        for v, key in zip(vs, keys):
+            line.insert(v, key)
+        raw.extend(line)
+    return _canonical_rename(raw, n)
+
+
+def _separation(y: Graph, product: Graph, c: PairColouring,
+                buckets: Optional[tuple] = None) -> SeparationReport:
+    """The separation report of x[y] = `product` from its round 1 `c`, with
+    `buckets` its `_pair_buckets` when already built.  Each round that
+    raises the class count has its successor decided by `_next_round`, up
+    to the first that separates; otherwise the witnesses of the stable
+    round (none when it separates) are listed."""
+    ny = y.n
+    mixed = _mixed_colours(c, ny)
+    count = _initial_class_count(product)
+    while c.num_colours > count:
+        count = c.num_colours
+        c = _next_round(c, ny, mixed)
+        if c is None:
+            return SeparationReport(True, True, ())
+        if c.num_colours == count:
+            break
+        mixed = _mixed_colours(c, ny)
+    inner_e, outer_e, inner_ne, outer_ne = buckets or _pair_buckets(y, product)
+    edge_witnesses = _witnesses(c, inner_e, outer_e)
+    nonedge_witnesses = _witnesses(c, inner_ne, outer_ne)
+    return SeparationReport(not edge_witnesses, not nonedge_witnesses,
+                            tuple(edge_witnesses + nonedge_witnesses))
+
+
+def _round_one(x: Graph, y: Graph) -> Optional[tuple[Graph, PairColouring]]:
+    """x[y] and its first round, or None, without building x[y], when
+    `_first_round_separates` shows that round 1 separates.  A factor with no
+    vertex is left to `lex_product` to refuse."""
+    if x.n and y.n and _first_round_separates(x, y):
+        return None
+    product = lex_product(x, y)
+    return product, first_round(product)
 
 
 def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
@@ -153,38 +244,22 @@ def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     outer edges and inner from outer non-edges.
 
     Round 1 is decided on the factors by `_first_round_separates`; x[y] is
-    built only when it fails, and each round of `refinements` is then tested
-    once by `_separates`.  A pair's colour in one round fixes its colour in
-    the round before, so colours disjoint in one round stay disjoint in
-    every later round: the first round that passes decides.  When none
+    built only when it fails.  A pair's colour in one round fixes its colour
+    in the round before, so colours disjoint in one round stay disjoint in
+    every later round: the first round that separates decides.  Each later
+    round is decided by `_next_round` on the pairs whose previous colour is
+    mixed, and built in full only when they do not separate.  When no round
     does, `_witnesses` lists the failing pairs of the stable round, edges
-    against edges, then non-edges against non-edges.  A factor with no
-    vertex is left to `lex_product` to refuse.
+    against edges, then non-edges against non-edges.
     """
-    if x.n and y.n and _first_round_separates(x, y):
-        return SeparationReport(True, True, ())
-    product = lex_product(x, y)
-    for c in refinements(product):
-        if _separates(c, y.n):
-            return SeparationReport(True, True, ())
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
-    edge_witnesses = _witnesses(c, inner_e, outer_e)
-    nonedge_witnesses = _witnesses(c, inner_ne, outer_ne)
-    return SeparationReport(not edge_witnesses, not nonedge_witnesses,
-                            tuple(edge_witnesses + nonedge_witnesses))
+    built = _round_one(x, y)
+    return _separation(y, *built) if built else SeparationReport(True, True, ())
 
 
-def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
-    """After exactly one refinement round on x[y], every inner/outer edge pair
-    that is not strongly distinguished must have outer endpoints that are
-    twins in the complement of x and inner endpoints with no common
-    non-neighbour in y; dually for non-edge pairs.  Returns violations: none,
-    without building x[y], when `_first_round_separates` holds."""
-    if x.n and y.n and _first_round_separates(x, y):
-        return []
-    product = lex_product(x, y)
-    c1 = first_round(product)
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
+def _violations(x: Graph, y: Graph, c1: PairColouring, buckets: tuple) -> list[str]:
+    """The first-iteration violations of x[y], from its round 1 `c1` and its
+    `_pair_buckets`."""
+    inner_e, outer_e, inner_ne, outer_ne = buckets
     violations: list[str] = []
     for inner, outer, twin_graph, common_graph, label in (
             (inner_e, outer_e, complement(x), complement(y), "edges"),
@@ -199,6 +274,30 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
                 violations.append(
                     f"{label}: inner endpoints {py1},{qy1} share a witness vertex")
     return violations
+
+
+def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
+    """After exactly one refinement round on x[y], every inner/outer edge pair
+    that is not strongly distinguished must have outer endpoints that are
+    twins in the complement of x and inner endpoints with no common
+    non-neighbour in y; dually for non-edge pairs.  Returns violations: none,
+    without building x[y], when `_first_round_separates` holds."""
+    built = _round_one(x, y)
+    if built is None:
+        return []
+    product, c1 = built
+    return _violations(x, y, c1, _pair_buckets(y, product))
+
+
+def _verify(x: Graph, y: Graph) -> tuple[SeparationReport, list[str]]:
+    """`verify_wl_separation` and `check_first_iteration_consequences` of
+    x[y] from one product, one round 1 and one set of pair buckets."""
+    built = _round_one(x, y)
+    if built is None:
+        return SeparationReport(True, True, ()), []
+    product, c1 = built
+    buckets = _pair_buckets(y, product)
+    return _separation(y, product, c1, buckets), _violations(x, y, c1, buckets)
 
 
 @dataclass(frozen=True)

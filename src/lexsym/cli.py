@@ -16,7 +16,7 @@ from .graphs import Graph, GraphError, lex_product
 from .formats import FormatError, content_hash, parse_graph, write_graph
 from .wl import stable_colouring
 from .groups import DEFAULT_MAX_DEGREE, orbits, orbitals, stabiliser_chain
-from .analysis import analyze_product, verify_wl_separation, check_first_iteration_consequences
+from .analysis import _verify, analyze_product
 from .decompose import qut_expression, split
 from .expressions import serialize, to_tree
 from .sweeps import CounterexampleError, sabidussi_sweep
@@ -158,8 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "verify":
         x = _load_graph(args.x_file, args.format)
         y = _load_graph(args.y_file, args.format)
-        sep = verify_wl_separation(x, y)
-        violations = check_first_iteration_consequences(x, y)
+        sep, violations = _verify(x, y)
         _emit_json({"schema": 1,
                     "edges_separated": sep.inner_outer_edges_separated,
                     "nonedges_separated": sep.inner_outer_nonedges_separated,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Graph, GraphError
 
@@ -96,6 +96,15 @@ def first_round(g: Graph) -> PairColouring:
     return _canonical_rename(raw, n)
 
 
+def _row_keys(row: tuple, k: int, colours: Iterable[int], columns: Iterable[tuple]):
+    """The refinement keys, as an iterator, of the pairs (u, v) of row u
+    whose colours c(u, v) and columns c(., v) are listed in `colours` and
+    `columns`: `row` holds c(u, .) and `k` the number of colours.  A key is
+    c(u,v) and the sorted codes c(u,z)*k + c(z,v) over all z."""
+    scaled = [a * k for a in row]
+    return zip(colours, [tuple(sorted(map(add, scaled, col))) for col in columns])
+
+
 def refine_step(g: Graph, c: PairColouring) -> PairColouring:
     """One refinement round: split classes by exact triangle profiles.
 
@@ -112,21 +121,24 @@ def refine_step(g: Graph, c: PairColouring) -> PairColouring:
     columns = [colours[v::n] for v in range(n)]
     raw = []
     for u in range(n):
-        row_u = colours[u * n:(u + 1) * n]
-        scaled = [a * k for a in row_u]
-        raw.extend(zip(row_u, [tuple(sorted(map(add, scaled, col))) for col in columns]))
+        row = colours[u * n:(u + 1) * n]
+        raw.extend(_row_keys(row, k, row, columns))
     return _canonical_rename(raw, n)
+
+
+def _initial_class_count(g: Graph) -> int:
+    """The diagonal, plus the edges if any, plus the non-edges if any."""
+    edges = g.edge_count()
+    return (g.n > 0) + (edges > 0) + (edges < g.n * (g.n - 1) // 2)
 
 
 def refinements(g: Graph) -> Iterator[PairColouring]:
     """Yield `first_round(g)`, then each `refine_step` of the last round, up
     to and including the first round that does not raise the class count.
-    The initial count is the diagonal, plus the edges if any, plus the
-    non-edges if any; the initial colouring is not built.
+    The initial count is `_initial_class_count(g)`; the initial colouring is
+    not built.
     """
-    pairs = g.n * (g.n - 1) // 2
-    edges = g.edge_count()
-    count = (g.n > 0) + (edges > 0) + (edges < pairs)
+    count = _initial_class_count(g)
     current = first_round(g)
     yield current
     while current.num_colours > count:

@@ -1,6 +1,7 @@
 """Wreath-condition verdicts, separation checks, and reports."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 
 import lexsym.analysis
 import lexsym.wl
-from conftest import apply_permutation, graphs, initial_colouring, petersen_graph
-from lexsym import (analyze_product, aut_order, complement, complete_graph,
+from conftest import (apply_permutation, graph_with_permutation, graphs,
+                      initial_colouring, petersen_graph)
+from lexsym import (Graph, analyze_product, aut_order, complement, complete_graph,
                     cycle_graph, disjoint_union, empty_graph, first_round,
                     lex_product, path_graph, sabidussi_conditions, serialize,
                     stable_colouring, star_graph, verify_wl_separation, wreath_order,
@@ -121,50 +123,79 @@ class TestSeparation:
         assert not rep.inner_outer_nonedges_separated
         assert len(rep.failing_witnesses) > 0
 
-    def test_equals_the_reference_on_census_pairs(self):
+    def test_equals_the_reference_on_census_pairs(self, monkeypatch):
         # products of at most 12 vertices: 3041 pairs where both conditions
-        # hold, separated at rounds 0, 1 and 2, and 390 failing pairs, each
-        # with witnesses read from stable rounds 0, 1 and 2
+        # hold and 390 failing pairs, each with witnesses read from stable
+        # rounds 1, 2 and 3.  The holding pairs are decided at round 1 (2919,
+        # on the factors), round 2 (120, on its mixed pairs, unbuilt) and
+        # round 3 (2, after round 2 is built)
+        tests = []
+        next_round = lexsym.analysis._next_round
+        monkeypatch.setattr(lexsym.analysis, "_next_round",
+                            lambda *a: tests.append(a) or next_round(*a))
         holding, failing = ([(x, y) for x, y in pairs if x.n * y.n <= 12]
                             for pairs in census_pairs())
         assert (len(holding), len(failing)) == (3041, 390)
+        decided = Counter()
         for x, y in holding + failing:
+            tests.clear()
             assert verify_wl_separation(x, y) == reference_verify_wl_separation(x, y), (
                 x.rows, y.rows)
+            if (x, y) in holding:
+                decided[1 + len(tests)] += 1
+        assert decided == {1: 2919, 2: 120, 3: 2}
         assert all(reference_verify_wl_separation(x, y).failing_witnesses
                    for x, y in failing)
 
     def test_refine_step_calls_on_criterion_2_pairs(self, monkeypatch):
-        # refinement stops at the first separating round: 1136 refine_step
-        # calls over the 6132 criterion 2 pairs, against 10,601 to reach
-        # every stable colouring
-        calls = 0
-        refine_step = lexsym.wl.refine_step
-
-        def counting(g, c):
-            nonlocal calls
-            calls += 1
-            return refine_step(g, c)
-
-        monkeypatch.setattr(lexsym.wl, "refine_step", counting)
+        # refinement stops at the first separating round, and each round
+        # after the first is decided on its mixed pairs before it is built:
+        # over the 6132 criterion 2 pairs no refine_step runs and 22 rounds
+        # are built in full, against 1136 refine_step calls when every
+        # round was built and 10,601 to reach every stable colouring
+        calls = Counter()
+        for module, name in ((lexsym.wl, "refine_step"),
+                             (lexsym.analysis, "_canonical_rename")):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, f=f, name=name: calls.update([name]) or f(*a))
         holding, _ = census_pairs()
         assert len(holding) == 6132
         for x, y in holding:
             verify_wl_separation(x, y)
-        assert calls == 1136
+        assert calls == {"_canonical_rename": 22}
+
+    def test_round_two_built_when_its_mixed_pairs_meet(self, monkeypatch):
+        # 2K1[P6]: the keys of round 2's mixed pairs meet across inner and
+        # outer, so round 2 is built; round 3 separates on its mixed pairs
+        x, y = empty_graph(2), Graph(6, (24, 48, 32, 1, 3, 6))
+        assert sabidussi_conditions(x, y).wreath_holds
+        tests = []
+        next_round = lexsym.analysis._next_round
+        monkeypatch.setattr(lexsym.analysis, "_next_round",
+                            lambda *a: tests.append(next_round(*a)) or tests[-1])
+        rep = verify_wl_separation(x, y)
+        assert rep == reference_verify_wl_separation(x, y) == SeparationReport(True, True, ())
+        assert [t is None for t in tests] == [False, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_with_permutation(1, 6), graph_with_permutation(1, 5))
+    def test_equals_the_reference_on_relabelled_pairs(self, x, y):
+        x, y = (apply_permutation(g, perm) for g, perm in (x, y))
+        assert verify_wl_separation(x, y) == reference_verify_wl_separation(x, y)
 
     def test_first_round_calls_on_criterion_2_pairs(self, monkeypatch):
         # the first round is decided from the factors for 5018 of the 6132
         # criterion 2 pairs; only the other 1114 build x[y] and refine it
         calls = 0
-        first_round = lexsym.wl.first_round
+        first_round = lexsym.analysis.first_round
 
         def counting(g):
             nonlocal calls
             calls += 1
             return first_round(g)
 
-        monkeypatch.setattr(lexsym.wl, "first_round", counting)
+        monkeypatch.setattr(lexsym.analysis, "first_round", counting)
         holding, _ = census_pairs()
         for x, y in holding:
             verify_wl_separation(x, y)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import lexsym.analysis
 from conftest import petersen_graph
 from lexsym import (Graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
                     lex_product, parse_graph, path_graph,
@@ -187,17 +188,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("x, y, built", [
         (cycle_graph(7), cycle_graph(6), 0),
-        (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0], 2),
+        (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0], 1),
     ], ids=["C7[C6]", "C4[3K2]"])
     def test_product_built_only_when_round_one_does_not_separate(
             self, capsys, write_file, monkeypatch, x, y, built):
         # C7[C6] separates at round 1, so neither check builds the product;
-        # C4[3K2] does not, so both do
+        # C4[3K2] does not, and both checks share one product, one round 1
+        # and one set of pair buckets
         calls = []
-        monkeypatch.setattr("lexsym.analysis.lex_product",
-                            lambda *f: calls.append(f) or lex_product(*f))
+        for name in ("lex_product", "first_round", "_pair_buckets"):
+            f = getattr(lexsym.analysis, name)
+            monkeypatch.setattr(lexsym.analysis, name,
+                                lambda *a, f=f, name=name: calls.append(name) or f(*a))
         payload = run_json(capsys, ["verify", write_file("x.g", x), write_file("y.g", y)])
-        assert len(calls) == built
+        assert calls == built * ["lex_product", "first_round", "_pair_buckets"]
         assert payload["first_iteration_violations"] == []
 
     def test_empty_factor_is_refused(self, capsys, write_file):
