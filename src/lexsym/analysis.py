@@ -14,6 +14,12 @@ q = (b, j), n = |V(y)|, d the degree and c the common-neighbour count (the
 general form of the paper's Table 1): deg p = d_x(a)*n + d_y(i); an inner
 pair (a = b) has c_y(i, j) + d_x(a)*n common neighbours, an outer one
 c_x(a, b)*n + [ab in E(x)]*(d_y(i) + d_y(j)).
+
+Each later round is decided on its mixed pairs alone, those whose colour
+in the round before lies on both an inner and an outer pair: a refinement
+key holds that colour, so no other pair can share a key across the two
+sides.  The round is built, from the keys already made, only when the
+inner and outer mixed keys meet.
 """
 
 from __future__ import annotations
@@ -180,7 +186,7 @@ def _next_round(c: PairColouring, ny: int, mixed: set[int]) -> Optional[PairColo
         flags = [colour in mixed for colour in row]
         vs = list(compress(range(n), flags))
         keys = list(_row_keys(row, k, compress(row, flags), compress(columns, flags)))
-        keyed[p] = flags, vs, keys
+        keyed[p] = vs, keys
         start = p // ny * ny
         lo, hi = bisect_left(vs, start), bisect_left(vs, start + ny)
         inner, outer = set(keys[lo:hi]), set(keys[:lo] + keys[hi:])
@@ -195,8 +201,8 @@ def _next_round(c: PairColouring, ny: int, mixed: set[int]) -> Optional[PairColo
         if p not in keyed:
             raw.extend(_row_keys(row, k, row, columns))
             continue
-        flags, vs, keys = keyed[p]
-        rest = [not flag for flag in flags]
+        vs, keys = keyed[p]
+        rest = [colour not in mixed for colour in row]
         line = list(_row_keys(row, k, compress(row, rest), compress(columns, rest)))
         for v, key in zip(vs, keys):
             line.insert(v, key)

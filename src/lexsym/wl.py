@@ -17,6 +17,10 @@ earlier round.  So a colour lies on one kind of pair (diagonal, edge or
 non-edge), and two sets of pairs whose colours are disjoint in some round
 stay disjoint in every later round, the stable one included: a caller
 testing for such a separation may stop at the first round that shows it.
+The round that shows it needs keys only on the pairs whose previous colour
+lies in both sets (is mixed): a key holds that colour, so a pair whose
+colour lies in one set cannot share a key with a pair of the other.
+`_row_keys` keys any chosen pairs of a row, whole rows for `refine_step`.
 
 The round encodes middle vertex z of the pair (u, v) as the single int
 c(u,z)*k + c(z,v), with k the number of colours.  Because 0 <= c(z,v) < k
