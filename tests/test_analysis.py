@@ -137,11 +137,11 @@ class TestSeparation:
                             for pairs in census_pairs())
         assert (len(holding), len(failing)) == (3041, 390)
         decided = Counter()
-        for x, y in holding + failing:
+        for i, (x, y) in enumerate(holding + failing):
             tests.clear()
             assert verify_wl_separation(x, y) == reference_verify_wl_separation(x, y), (
                 x.rows, y.rows)
-            if (x, y) in holding:
+            if i < len(holding):
                 decided[1 + len(tests)] += 1
         assert decided == {1: 2919, 2: 120, 3: 2}
         assert all(reference_verify_wl_separation(x, y).failing_witnesses
