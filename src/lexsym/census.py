@@ -9,6 +9,17 @@ are ranks within one graph, so the sorted colours alone would not say
 which neighbourhood a rank stands for.)  Every isomorphism class is
 reached because deleting the last vertex of any graph leaves a smaller
 representative's class.
+
+Two attach sets in the same orbit of Aut(base) on vertex subsets give
+isomorphic candidates, so only the smallest mask of each orbit is tried,
+in ascending order (orbit pruning, McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).  The kept representatives do not change:
+the one kept for a class is its first candidate in (base, mask) order, and
+were its mask not the smallest of its orbit, that smallest mask would give
+an isomorphic candidate earlier.  So the representatives, their labelling
+and their order are those of trying every mask.  Keeping only candidates
+whose new vertex has the largest refined colour would prune as well, but
+it keeps other labelled graphs, and the labelling is pinned.
 """
 
 from __future__ import annotations
@@ -16,7 +27,24 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, _bits, _trusted, empty_graph
-from .groups import _isomorphic, refined_vertex_colours
+from .groups import _isomorphic, _partition, refined_vertex_colours, stabiliser_chain
+
+
+def _orbit_minimal_masks(base: Graph) -> list[int]:
+    """The smallest vertex-subset mask of each Aut(base) orbit, ascending.
+
+    Each generator of the chain maps a mask to an image mask, built from
+    the image of the mask without its lowest bit; the orbits are the
+    classes these links join."""
+    size = 1 << base.n
+    links: list[tuple[int, int]] = []
+    for perm in stabiliser_chain(base).generators:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
+        links.extend(enumerate(image))
+    return [cls[0] for cls in _partition(size, links)]
 
 
 @lru_cache(maxsize=None)
@@ -27,7 +55,7 @@ def unlabelled_graphs(n: int) -> tuple[Graph, ...]:
     reps: dict[tuple, list[tuple[Graph, list[int]]]] = {}
     out: list[Graph] = []
     for base in unlabelled_graphs(n - 1):
-        for attach in range(1 << (n - 1)):
+        for attach in _orbit_minimal_masks(base):
             rows = list(base.rows) + [attach]
             for v in _bits(attach):
                 rows[v] |= 1 << (n - 1)

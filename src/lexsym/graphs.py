@@ -161,7 +161,18 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """One frontier walk from vertex 0 reaches every vertex; the 0- and
+    1-vertex graphs are connected."""
+    seen = frontier = 1 if g.n else 0
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            new |= g.rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -199,7 +210,8 @@ def twin_partition(g: Graph) -> TwinPartition:
 
 
 def has_twins(g: Graph) -> bool:
-    return twin_partition(g).has_twins
+    """Twins are never adjacent, so equal rows are exactly twins."""
+    return len(set(g.rows)) < g.n
 
 
 def _bits(mask: int) -> list[int]:

@@ -95,8 +95,8 @@ def first_round(g: Graph) -> PairColouring:
     raw = []
     for u in range(n):
         row, du = rows[u], degs[u]
-        raw.extend((0 if u == v else 1 if row >> v & 1 else 2, du, degs[v],
-                    (row & rows[v]).bit_count()) for v in range(n))
+        raw.extend([(0 if u == v else 1 if row >> v & 1 else 2, du, degs[v],
+                     (row & rows[v]).bit_count()) for v in range(n)])
     return _canonical_rename(raw, n)
 
 

@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 
 from lexsym import write_graph
-from lexsym.census import unlabelled_graphs, unlabelled_graphs_upto
+from lexsym.census import _orbit_minimal_masks, unlabelled_graphs, unlabelled_graphs_upto
 from lexsym.graphs import GraphError
+from lexsym.groups import automorphisms
 
 # Graphs on n vertices up to isomorphism, n = 0..7 (OEIS A000088).
 COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
@@ -29,6 +30,15 @@ def test_counts(n, count):
 def test_negative_order_rejected():
     with pytest.raises(GraphError):
         unlabelled_graphs(-1)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_orbit_minimal_masks_against_every_automorphism(n):
+    for base in unlabelled_graphs(n):
+        perms = automorphisms(base).generators
+        minima = {min(sum(1 << perm[v] for v in range(n) if mask >> v & 1) for perm in perms)
+                  for mask in range(1 << n)}
+        assert _orbit_minimal_masks(base) == sorted(minima), base
 
 
 def test_labelling_is_pinned():

@@ -8,7 +8,11 @@ from conftest import graphs, graph_with_permutation, apply_permutation, distance
 from lexsym import (Graph, complement, connected_components, complete_graph,
                     cycle_graph, disjoint_union, empty_graph, lex_product,
                     path_graph, star_graph, twin_partition)
+from lexsym.census import unlabelled_graphs
 from lexsym.graphs import GraphError, has_twins, induced_subgraph, is_connected
+
+# Census graphs on at most 6 vertices, the 0-vertex graph included.
+SMALL_CENSUS = [g for n in range(7) for g in unlabelled_graphs(n)]
 
 
 class TestConstruction:
@@ -191,6 +195,10 @@ class TestComponents:
     def test_isolated_vertices(self):
         assert connected_components(empty_graph(3)) == [[0], [1], [2]]
 
+    def test_is_connected_agrees_with_components(self):
+        for g in SMALL_CENSUS:
+            assert is_connected(g) == (len(connected_components(g)) <= 1), g
+
     def test_induced_subgraph_relabels(self):
         u, _ = disjoint_union([complete_graph(2), cycle_graph(3)])
         sub = induced_subgraph(u, [2, 3, 4])
@@ -214,6 +222,10 @@ class TestTwins:
 
     def test_empty_graph_single_class(self):
         assert twin_partition(empty_graph(4)).classes == ((0, 1, 2, 3),)
+
+    def test_has_twins_agrees_with_partition(self):
+        for g in SMALL_CENSUS:
+            assert has_twins(g) == twin_partition(g).has_twins, g
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=1))
