@@ -11,13 +11,12 @@ pathways reach before the symbolic machinery gives up.
 import argparse
 import sys
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lexsym import analyze_product, verify_wl_separation
-from lexsym.census import unlabelled_graphs
+from lexsym import FactorTable, analyze_product, verify_wl_separation
+from lexsym.sweeps import census_pairs
 
 
 def main(argv=None) -> int:
@@ -29,22 +28,21 @@ def main(argv=None) -> int:
     parser.add_argument("--check-separation", action="store_true",
                         help="also tally separation on failing-condition pairs")
     args = parser.parse_args(argv)
-    verdicts: Counter[str] = Counter()
+    for bound in ("max_nx", "max_ny", "max_product"):
+        if getattr(args, bound) < 0:
+            parser.error(f"--{bound.replace('_', '-')} must be non-negative")
+    pairs, skipped = census_pairs(args.max_nx, args.max_ny, args.max_product)
+    verdicts: Counter[str] = Counter({"skipped(bound)": skipped} if skipped else {})
     separation: Counter[str] = Counter()
-    for nx in range(1, args.max_nx + 1):
-        for ny in range(1, args.max_ny + 1):
-            if nx * ny > args.max_product:
-                verdicts["skipped(bound)"] += (len(unlabelled_graphs(nx))
-                                               * len(unlabelled_graphs(ny)))
-                continue
-            for x, y in product(unlabelled_graphs(nx), unlabelled_graphs(ny)):
-                report = analyze_product(x, y)
-                verdicts[report.verdict] += 1
-                if args.check_separation and not report.conditions.wreath_holds:
-                    sep = verify_wl_separation(x, y)
-                    both = (sep.inner_outer_edges_separated
-                            and sep.inner_outer_nonedges_separated)
-                    separation["separated" if both else "mixed"] += 1
+    factors = FactorTable()
+    for x, y in pairs:
+        report = analyze_product(x, y, factors=factors)
+        verdicts[report.verdict] += 1
+        if args.check_separation and not report.conditions.wreath_holds:
+            sep = verify_wl_separation(x, y)
+            both = (sep.inner_outer_edges_separated
+                    and sep.inner_outer_nonedges_separated)
+            separation["separated" if both else "mixed"] += 1
     print("verdicts:")
     for key, count in sorted(verdicts.items()):
         print(f"  {key:20s} {count}")

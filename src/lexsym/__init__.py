@@ -12,7 +12,7 @@ from .wl import (PairColouring, RefinementTrace, first_round, refine_step,
                  refinements, stable_colouring)
 from .groups import (PermGroup, automorphisms, aut_order, orbits, orbitals,
                      is_isomorphic, is_vertex_transitive, stabiliser_chain, wreath_order)
-from .analysis import (AnalysisReport, ConditionReport, SeparationReport,
+from .analysis import (AnalysisReport, ConditionReport, FactorTable, SeparationReport,
                        analyze_product, sabidussi_conditions,
                        verify_wl_separation, check_first_iteration_consequences)
 from .decompose import (DecompositionReport, split, qut_disjoint_union,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import compress
 from typing import Optional
 
@@ -346,8 +347,22 @@ class AnalysisReport:
         return out
 
 
-def analyze_product(x: Graph, y: Graph,
-                    max_degree: int = DEFAULT_MAX_DEGREE) -> AnalysisReport:
+class FactorTable:
+    """Each factor's automorphism order and certified expression at one
+    oracle bound, each computed on its first use."""
+
+    def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE):
+        self.max_degree = max_degree
+        self.order = cache(aut_order)
+        self.certified = cache(partial(certified, max_degree=max_degree))
+
+    def classical_orders(self, x: Graph, y: Graph) -> tuple[int, int]:
+        """|Aut(x[y])| and the wreath order |Aut(y)|^|V(x)| * |Aut(x)|."""
+        return aut_order(lex_product(x, y)), wreath_order(self.order(y), x.n, self.order(x))
+
+
+def analyze_product(x: Graph, y: Graph, max_degree: int = DEFAULT_MAX_DEGREE,
+                    factors: Optional[FactorTable] = None) -> AnalysisReport:
     """Decide the wreath verdict for x[y] and build the report.
 
     When both conditions hold the product's symmetry is the (free) wreath
@@ -355,11 +370,21 @@ def analyze_product(x: Graph, y: Graph,
     from the structural walk (a Qut leaf where it has none).  Otherwise the
     twin quotient of `analyze_vt_product` is attempted; failing that (twin
     classes not uniform) the verdict is indeterminate, naming the condition.
+
+    `factors` belongs to the caller, which builds one per run at the run's
+    bound, so a sweep over many pairs works out each factor once; with
+    none, a fresh table serves this pair.  There is no process-wide cache,
+    because benchmark rounds reuse the same graphs.  A certified expression
+    depends on the bound, so a table of another bound raises ValueError.
     """
+    if factors is None:
+        factors = FactorTable(max_degree)
+    elif factors.max_degree != max_degree:
+        raise ValueError(f"factor table of bound {factors.max_degree} read at {max_degree}")
     conditions = sabidussi_conditions(x, y)
     if conditions.wreath_holds:
         verdict = "wreath"
-        quantum = simplify(FreeWreath(certified(y, max_degree), certified(x, max_degree)))
+        quantum = simplify(FreeWreath(factors.certified(y), factors.certified(x)))
     else:
         try:
             quantum = analyze_vt_product(x, y, max_degree)
@@ -371,8 +396,7 @@ def analyze_product(x: Graph, y: Graph,
     order = worder = None
     skipped = None
     if x.n * y.n <= max_degree:
-        order = aut_order(lex_product(x, y))
-        worder = wreath_order(aut_order(y), x.n, aut_order(x))
+        order, worder = factors.classical_orders(x, y)
     else:
         skipped = "bound"
     return AnalysisReport(x=x, y=y, conditions=conditions, verdict=verdict,

@@ -11,8 +11,8 @@ import lexsym.analysis
 import lexsym.wl
 from conftest import (apply_permutation, graph_with_permutation, graphs,
                       initial_colouring, petersen_graph)
-from lexsym import (Graph, analyze_product, aut_order, complement, complete_graph,
-                    cycle_graph, disjoint_union, empty_graph, first_round,
+from lexsym import (FactorTable, Graph, analyze_product, aut_order, complement,
+                    complete_graph, cycle_graph, disjoint_union, empty_graph, first_round,
                     lex_product, path_graph, sabidussi_conditions, serialize,
                     stable_colouring, star_graph, verify_wl_separation, wreath_order,
                     check_first_iteration_consequences)
@@ -20,6 +20,7 @@ from lexsym.analysis import SeparationReport, _first_round_separates, _pair_buck
 from lexsym.graphs import GraphError
 from lexsym.census import unlabelled_graphs, unlabelled_graphs_upto
 from lexsym.expressions import Indeterminate, classical_order, degree
+from lexsym.sweeps import census_pairs as walk_census
 
 
 def reference_separation(c, inner, outer):
@@ -308,6 +309,21 @@ class TestAnalyze:
     def test_as_dict_skipped_classical(self):
         d = analyze_product(cycle_graph(4), complete_graph(2), max_degree=4).as_dict()
         assert d["classical"] == {"skipped": "bound"}
+
+    def test_shared_factor_table_gives_the_same_reports(self):
+        # the 1030 pairs of the benchmark's survey workload, one table for
+        # all of them against a fresh table per pair
+        factors = FactorTable(16)
+        pairs, _ = walk_census(6, 4, 16)
+        assert len(pairs) == 1030
+        for x, y in pairs:
+            shared = analyze_product(x, y, 16, factors).as_dict()
+            assert shared == analyze_product(x, y, 16).as_dict(), (x.rows, y.rows)
+
+    def test_factor_table_at_another_bound_is_refused(self):
+        # a certified expression depends on the bound
+        with pytest.raises(ValueError, match="bound 16"):
+            analyze_product(cycle_graph(4), complete_graph(2), 14, FactorTable(16))
 
     @settings(max_examples=25, deadline=None)
     @given(graphs(min_n=1, max_n=3), graphs(min_n=1, max_n=3))

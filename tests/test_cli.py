@@ -234,15 +234,23 @@ class TestSweep:
         payload = run_json(capsys, ["sweep", "--max-nx", "1", "--max-ny", "1"])
         assert payload["pairs_verified"] == 1
 
+    def test_each_factor_order_is_computed_once(self, monkeypatch):
+        # one order per product (126) and one per distinct factor (18)
+        calls = []
+        order = lexsym.analysis.aut_order
+        monkeypatch.setattr(lexsym.analysis, "aut_order", lambda g: calls.append(g) or order(g))
+        sabidussi_sweep(4, 3)
+        assert len(calls) == 144
+
     def test_counterexample_aborts_with_a_reproducer(self, monkeypatch):
-        monkeypatch.setattr("lexsym.sweeps.wreath_order", lambda *f: wreath_order(*f) + 1)
+        monkeypatch.setattr("lexsym.analysis.wreath_order", lambda *f: wreath_order(*f) + 1)
         with pytest.raises(CounterexampleError) as err:
             sabidussi_sweep(2, 2)
         k1 = write_graph(empty_graph(1))
         assert f"X:\n{k1}Y:\n{k1}" in str(err.value)
 
     def test_counterexample_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("lexsym.sweeps.wreath_order", lambda *f: wreath_order(*f) + 1)
+        monkeypatch.setattr("lexsym.analysis.wreath_order", lambda *f: wreath_order(*f) + 1)
         assert run(["sweep", "--max-nx", "2", "--max-ny", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: wreath equivalence violated")

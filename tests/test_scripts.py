@@ -5,6 +5,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+import lexsym.analysis
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -45,6 +49,28 @@ class TestSurvey:
         assert capsys.readouterr().out == VERDICTS + (
             "separation when conditions fail:\n"
             "  mixed                54\n")
+
+    def test_each_factor_order_is_computed_once(self, capsys, monkeypatch):
+        # the default tally's 126 products and 18 distinct factors
+        calls = []
+        order = lexsym.analysis.aut_order
+        monkeypatch.setattr(lexsym.analysis, "aut_order", lambda g: calls.append(g) or order(g))
+        assert load_survey().main([]) == 0
+        assert capsys.readouterr().out == VERDICTS
+        assert len(calls) == 144
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-nx", "-1"],
+        ["--max-ny", "-1"],
+        ["--max-product", "-5", "--max-nx", "2", "--max-ny", "2"],
+    ])
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            load_survey().main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be non-negative" in captured.err
 
 
 def bench_run(failed=0, **metrics):
