@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import compress
 from typing import Optional
 
@@ -353,12 +352,21 @@ class FactorTable:
 
     def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE):
         self.max_degree = max_degree
-        self.order = cache(aut_order)
-        self.certified = cache(partial(certified, max_degree=max_degree))
+        self.orders: dict[Graph, int] = {}
+        self.exprs: dict[Graph, GroupExpr] = {}
+
+    def certified(self, g: Graph) -> GroupExpr:
+        if g not in self.exprs:
+            self.exprs[g] = certified(g, self.max_degree)
+        return self.exprs[g]
 
     def classical_orders(self, x: Graph, y: Graph) -> tuple[int, int]:
         """|Aut(x[y])| and the wreath order |Aut(y)|^|V(x)| * |Aut(x)|."""
-        return aut_order(lex_product(x, y)), wreath_order(self.order(y), x.n, self.order(x))
+        for g in (y, x):
+            if g not in self.orders:
+                self.orders[g] = aut_order(g)
+        return (aut_order(lex_product(x, y)),
+                wreath_order(self.orders[y], x.n, self.orders[x]))
 
 
 def analyze_product(x: Graph, y: Graph, max_degree: int = DEFAULT_MAX_DEGREE,
