@@ -18,22 +18,21 @@ c_x(a, b)*n + [ab in E(x)]*(d_y(i) + d_y(j)).
 Each later round is decided on its mixed pairs alone, those whose colour
 in the round before lies on both an inner and an outer pair: a refinement
 key holds that colour, so no other pair can share a key across the two
-sides.  The round is built, from the keys already made, only when the
-inner and outer mixed keys meet.
+sides.  Only when the inner and outer mixed keys meet is the round built,
+in full, by `wl.refinements`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from typing import Optional
+from itertools import chain, compress
+from typing import Iterator, Optional
 
 from .graphs import (Graph, GraphError, complement, has_twins, is_connected,
                      lex_product)
 from .groups import DEFAULT_MAX_DEGREE, aut_order, wreath_order
-from .wl import (PairColouring, _canonical_rename, _initial_class_count, _row_keys,
-                 first_round)
+from .wl import PairColouring, _row_keys, refinements
 from .expressions import (FreeWreath, GroupExpr, Indeterminate, serialize,
                           serialize_classical, simplify, to_tree)
 from .decompose import analyze_vt_product, certified
@@ -89,45 +88,35 @@ def sabidussi_conditions(x: Graph, y: Graph) -> ConditionReport:
     )
 
 
-def _pair_buckets(y: Graph, product: Graph):
-    """Unordered product pairs split into inner/outer edge and non-edge sets.
-
-    A pair is inner when both ends lie in the same copy of y, that is when
-    their flat indices agree after integer division by |V(y)|."""
-    inner_e, outer_e, inner_ne, outer_ne = [], [], [], []
-    ny = y.n
-    for p in range(product.n):
-        row = product.rows[p]
-        for q in range(p + 1, product.n):
-            inner = p // ny == q // ny
-            if row >> q & 1:
-                (inner_e if inner else outer_e).append((p, q))
-            else:
-                (inner_ne if inner else outer_ne).append((p, q))
-    return inner_e, outer_e, inner_ne, outer_ne
-
-
-def _colour_set(c: PairColouring, pair: tuple[int, int]) -> frozenset[int]:
-    p, q = pair
-    return frozenset((c.colour(p, q), c.colour(q, p)))
-
-
-def _witnesses(c: PairColouring, inner: list, outer: list) -> list:
-    """The (inner, outer) pairs, inner-major, whose colour sets (both
-    orientations) meet under `c`: the pairs `c` does not strongly separate.
-    The outer pairs are indexed by colour, so the work grows with the pairs
-    and the witnesses rather than with inner times outer."""
+def _witnesses(c: PairColouring, product: Graph, ny: int) -> tuple[list, list]:
+    """The pairs of x[y] = `product`, |V(y)| = `ny`, that `c` does not
+    separate, from one row-major pass over p < q: the (inner, outer) pairs
+    whose colours (both orientations) meet, edges then non-edges, each
+    inner-major with the outer pairs in row-major order.  A colour lies on
+    one kind of pair, so an inner pair meets outer pairs of its own kind
+    only.  The outer pairs are indexed by colour, so the work grows with
+    the pairs and the witnesses rather than with inner times outer."""
+    n, colours = c.n, c.colours
+    inner: tuple[list, list] = ([], [])  # non-edges, edges: by the adjacency bit
+    outer: list[tuple[int, int]] = []
     by_colour: dict[int, list[int]] = {}
-    for i, e2 in enumerate(outer):
-        for colour in _colour_set(c, e2):
-            by_colour.setdefault(colour, []).append(i)
-    witnesses = []
-    for e1 in inner:
-        hits: set[int] = set()
-        for colour in _colour_set(c, e1):
-            hits.update(by_colour.get(colour, ()))
-        witnesses.extend([(e1, outer[i]) for i in sorted(hits)])
-    return witnesses
+    for p, row in enumerate(product.rows):
+        for q in range(p + 1, n):
+            colour_set = {colours[p * n + q], colours[q * n + p]}
+            if p // ny == q // ny:
+                inner[row >> q & 1].append(((p, q), colour_set))
+                continue
+            for colour in colour_set:
+                by_colour.setdefault(colour, []).append(len(outer))
+            outer.append((p, q))
+    nonedge_witnesses, edge_witnesses = [], []
+    for witnesses, pairs in zip((nonedge_witnesses, edge_witnesses), inner):
+        for pair, colour_set in pairs:
+            hits: set[int] = set()
+            for colour in colour_set:
+                hits.update(by_colour.get(colour, ()))
+            witnesses.extend([(pair, outer[i]) for i in sorted(hits)])
+    return edge_witnesses, nonedge_witnesses
 
 
 def _first_round_separates(x: Graph, y: Graph) -> bool:
@@ -152,97 +141,69 @@ def _first_round_separates(x: Graph, y: Graph) -> bool:
                    for e, da, db, c in x_keys for di in y_degs for dj in y_degs)
 
 
-def _mixed_colours(c: PairColouring, ny: int) -> set[int]:
-    """The colours of `c` that lie on both an inner and an outer pair of
-    x[y], |V(y)| = `ny`: in row p, the block of `ny` holding the diagonal is
-    inner, the rest outer (diagonal colours lie on no outer pair)."""
-    colours, n = c.colours, c.n
-    inner, outer = set(), set()
-    for p in range(n):
-        row = p * n
-        start = row + p // ny * ny
-        inner.update(colours[start:start + ny])
-        outer.update(colours[row:start])
-        outer.update(colours[start + ny:row + n])
-    return inner & outer
-
-
-def _next_round(c: PairColouring, ny: int, mixed: set[int]) -> Optional[PairColouring]:
-    """The round after `c` of x[y], |V(y)| = `ny`, or None when it
-    separates.  Only the pairs whose colour is in `mixed` are keyed first:
-    a key holds the pair's colour in `c`, so the others cannot share a key
-    with a pair on the other side, and the round separates exactly when the
-    inner mixed pairs' keys miss the outer ones'.  At the first row whose
-    keys meet the other side's, the round is built instead: the rows keyed
-    in part get the keys of their other pairs, the rest are keyed whole,
-    and the round is renamed as `refine_step` renames it."""
+def _keys_meet(c: PairColouring, ny: int) -> bool:
+    """Whether the round after `c` of x[y], |V(y)| = `ny`, gives an inner
+    and an outer pair one key, that is, whether it fails to separate.  In
+    row p the block of `ny` holding the diagonal is inner, the rest outer
+    (diagonal colours lie on no outer pair).  Only the mixed pairs, whose
+    colour lies on both an inner and an outer pair, are keyed: a key holds
+    the pair's colour, so no other pair can share a key across the sides.
+    The test stops at the first row whose keys meet the other side's."""
     n, k, colours = c.n, c.num_colours, c.colours
-    columns = [colours[v::n] for v in range(n)]
     rows = [colours[p * n:(p + 1) * n] for p in range(n)]
-    keyed, inner_keys, outer_keys = {}, set(), set()
+    inner_colours, outer_colours = set(), set()
+    for p, row in enumerate(rows):
+        start = p // ny * ny
+        inner_colours.update(row[start:start + ny])
+        outer_colours.update(row[:start])
+        outer_colours.update(row[start + ny:])
+    mixed = inner_colours & outer_colours
+    columns = [colours[v::n] for v in range(n)]
+    inner_keys, outer_keys = set(), set()
     for p, row in enumerate(rows):
         if mixed.isdisjoint(row):
             continue
         flags = [colour in mixed for colour in row]
         vs = list(compress(range(n), flags))
         keys = list(_row_keys(row, k, compress(row, flags), compress(columns, flags)))
-        keyed[p] = vs, keys
         start = p // ny * ny
         lo, hi = bisect_left(vs, start), bisect_left(vs, start + ny)
         inner, outer = set(keys[lo:hi]), set(keys[:lo] + keys[hi:])
         inner_keys |= inner
         outer_keys |= outer
         if not (inner_keys.isdisjoint(outer) and outer_keys.isdisjoint(inner)):
-            break
-    else:
-        return None
-    raw = []
-    for p, row in enumerate(rows):
-        if p not in keyed:
-            raw.extend(_row_keys(row, k, row, columns))
-            continue
-        vs, keys = keyed[p]
-        rest = [colour not in mixed for colour in row]
-        line = list(_row_keys(row, k, compress(row, rest), compress(columns, rest)))
-        for v, key in zip(vs, keys):
-            line.insert(v, key)
-        raw.extend(line)
-    return _canonical_rename(raw, n)
+            return True
+    return False
 
 
-def _separation(y: Graph, product: Graph, c: PairColouring,
-                buckets: Optional[tuple] = None) -> SeparationReport:
-    """The separation report of x[y] = `product` from its round 1 `c`, with
-    `buckets` its `_pair_buckets` when already built.  Each round that
-    raises the class count has its successor decided by `_next_round`, up
-    to the first that separates; otherwise the witnesses of the stable
-    round (none when it separates) are listed."""
-    ny = y.n
-    mixed = _mixed_colours(c, ny)
-    count = _initial_class_count(product)
-    while c.num_colours > count:
-        count = c.num_colours
-        c = _next_round(c, ny, mixed)
-        if c is None:
-            return SeparationReport(True, True, ())
+def _separation(product: Graph, rounds: Iterator[PairColouring],
+                ny: int) -> SeparationReport:
+    """The separation report of x[y] = `product`, |V(y)| = `ny`, from its
+    `refinements`.  A round whose mixed keys do not meet is followed by one
+    that separates, which decides; otherwise the next round is built.  A
+    round after the first that does not raise the class count is the
+    stable one, and is not tested, since the round before showed that its
+    keys meet: its witnesses are listed."""
+    count = 0
+    for c in rounds:
         if c.num_colours == count:
             break
-        mixed = _mixed_colours(c, ny)
-    inner_e, outer_e, inner_ne, outer_ne = buckets or _pair_buckets(y, product)
-    edge_witnesses = _witnesses(c, inner_e, outer_e)
-    nonedge_witnesses = _witnesses(c, inner_ne, outer_ne)
+        if not _keys_meet(c, ny):
+            return SeparationReport(True, True, ())
+        count = c.num_colours
+    edge_witnesses, nonedge_witnesses = _witnesses(c, product, ny)
     return SeparationReport(not edge_witnesses, not nonedge_witnesses,
                             tuple(edge_witnesses + nonedge_witnesses))
 
 
-def _round_one(x: Graph, y: Graph) -> Optional[tuple[Graph, PairColouring]]:
-    """x[y] and its first round, or None, without building x[y], when
+def _rounds(x: Graph, y: Graph) -> Optional[tuple[Graph, Iterator[PairColouring]]]:
+    """x[y] and its `refinements`, or None, without building x[y], when
     `_first_round_separates` shows that round 1 separates.  A factor with no
     vertex is left to `lex_product` to refuse."""
     if x.n and y.n and _first_round_separates(x, y):
         return None
     product = lex_product(x, y)
-    return product, first_round(product)
+    return product, refinements(product)
 
 
 def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
@@ -252,25 +213,23 @@ def verify_wl_separation(x: Graph, y: Graph) -> SeparationReport:
     Round 1 is decided on the factors by `_first_round_separates`; x[y] is
     built only when it fails.  A pair's colour in one round fixes its colour
     in the round before, so colours disjoint in one round stay disjoint in
-    every later round: the first round that separates decides.  Each later
-    round is decided by `_next_round` on the pairs whose previous colour is
-    mixed, and built in full only when they do not separate.  When no round
-    does, `_witnesses` lists the failing pairs of the stable round, edges
-    against edges, then non-edges against non-edges.
+    every later round: the first round that separates decides.  Each round
+    of `refinements` is tested by `_keys_meet` on the pairs whose colour is
+    mixed, and the round after it is built only when their keys meet.  When
+    no round separates, `_witnesses` lists the failing pairs of the stable
+    round, edges against edges, then non-edges against non-edges.
     """
-    built = _round_one(x, y)
-    return _separation(y, *built) if built else SeparationReport(True, True, ())
+    built = _rounds(x, y)
+    return _separation(*built, y.n) if built else SeparationReport(True, True, ())
 
 
-def _violations(x: Graph, y: Graph, c1: PairColouring, buckets: tuple) -> list[str]:
-    """The first-iteration violations of x[y], from its round 1 `c1` and its
-    `_pair_buckets`."""
-    inner_e, outer_e, inner_ne, outer_ne = buckets
+def _violations(x: Graph, y: Graph, product: Graph, c1: PairColouring) -> list[str]:
+    """The first-iteration violations of x[y] = `product` from its round 1 `c1`."""
     violations: list[str] = []
-    for inner, outer, twin_graph, common_graph, label in (
-            (inner_e, outer_e, complement(x), complement(y), "edges"),
-            (inner_ne, outer_ne, x, y, "nonedges")):
-        for (p1, q1), (p2, q2) in _witnesses(c1, inner, outer):
+    for witnesses, twin_graph, common_graph, label in zip(
+            _witnesses(c1, product, y.n), (complement(x), x), (complement(y), y),
+            ("edges", "nonedges")):
+        for (p1, q1), (p2, q2) in witnesses:
             py1, qy1 = p1 % y.n, q1 % y.n
             px2, qx2 = p2 // y.n, q2 // y.n
             if twin_graph.rows[px2] != twin_graph.rows[qx2]:
@@ -288,22 +247,23 @@ def check_first_iteration_consequences(x: Graph, y: Graph) -> list[str]:
     twins in the complement of x and inner endpoints with no common
     non-neighbour in y; dually for non-edge pairs.  Returns violations: none,
     without building x[y], when `_first_round_separates` holds."""
-    built = _round_one(x, y)
+    built = _rounds(x, y)
     if built is None:
         return []
-    product, c1 = built
-    return _violations(x, y, c1, _pair_buckets(y, product))
+    product, rounds = built
+    return _violations(x, y, product, next(rounds))
 
 
 def _verify(x: Graph, y: Graph) -> tuple[SeparationReport, list[str]]:
     """`verify_wl_separation` and `check_first_iteration_consequences` of
-    x[y] from one product, one round 1 and one set of pair buckets."""
-    built = _round_one(x, y)
+    x[y] from one product and one round 1."""
+    built = _rounds(x, y)
     if built is None:
         return SeparationReport(True, True, ()), []
-    product, c1 = built
-    buckets = _pair_buckets(y, product)
-    return _separation(y, product, c1, buckets), _violations(x, y, c1, buckets)
+    product, rounds = built
+    c1 = next(rounds)
+    return (_separation(product, chain([c1], rounds), y.n),
+            _violations(x, y, product, c1))
 
 
 @dataclass(frozen=True)

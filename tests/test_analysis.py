@@ -16,11 +16,29 @@ from lexsym import (FactorTable, Graph, analyze_product, aut_order, complement,
                     lex_product, path_graph, sabidussi_conditions, serialize,
                     stable_colouring, star_graph, verify_wl_separation, wreath_order,
                     check_first_iteration_consequences)
-from lexsym.analysis import SeparationReport, _first_round_separates, _pair_buckets
+from lexsym.analysis import SeparationReport, _first_round_separates
 from lexsym.graphs import GraphError
 from lexsym.census import unlabelled_graphs, unlabelled_graphs_upto
 from lexsym.expressions import Indeterminate, classical_order, degree
 from lexsym.sweeps import census_pairs as walk_census
+
+
+def pair_buckets(y, product):
+    """Unordered product pairs split into inner/outer edge and non-edge lists.
+
+    A pair is inner when both ends lie in the same copy of y, that is when
+    their flat indices agree after integer division by |V(y)|."""
+    inner_e, outer_e, inner_ne, outer_ne = [], [], [], []
+    ny = y.n
+    for p in range(product.n):
+        row = product.rows[p]
+        for q in range(p + 1, product.n):
+            inner = p // ny == q // ny
+            if row >> q & 1:
+                (inner_e if inner else outer_e).append((p, q))
+            else:
+                (inner_ne if inner else outer_ne).append((p, q))
+    return inner_e, outer_e, inner_ne, outer_ne
 
 
 def reference_separation(c, inner, outer):
@@ -45,7 +63,7 @@ def reference_verify_wl_separation(x, y):
     exit.  `verify_wl_separation` must return the same report."""
     product = lex_product(x, y)
     c = stable_colouring(product).stable
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
+    inner_e, outer_e, inner_ne, outer_ne = pair_buckets(y, product)
     edges_ok, edge_witnesses = reference_separation(c, inner_e, outer_e)
     nonedges_ok, nonedge_witnesses = reference_separation(c, inner_ne, outer_ne)
     return SeparationReport(edges_ok, nonedges_ok,
@@ -57,9 +75,20 @@ def reference_first_round_separates(x, y):
     outer edges, and inner and outer non-edges, disjoint colours."""
     product = lex_product(x, y)
     c = first_round(product)
-    inner_e, outer_e, inner_ne, outer_ne = _pair_buckets(y, product)
+    inner_e, outer_e, inner_ne, outer_ne = pair_buckets(y, product)
     return all(reference_separation(c, inner, outer)[0]
                for inner, outer in ((inner_e, outer_e), (inner_ne, outer_ne)))
+
+
+def count_rounds(monkeypatch):
+    """A Counter of the `first_round` and `refine_step` calls made through
+    `wl`, the rounds of x[y] that the separation check builds."""
+    calls = Counter()
+    for name in ("first_round", "refine_step"):
+        f = getattr(lexsym.wl, name)
+        monkeypatch.setattr(lexsym.wl, name,
+                            lambda *a, f=f, name=name: calls.update([name]) or f(*a))
+    return calls
 
 
 def relabelled(g, rng):
@@ -128,56 +157,47 @@ class TestSeparation:
         # products of at most 12 vertices: 3041 pairs where both conditions
         # hold and 390 failing pairs, each with witnesses read from stable
         # rounds 1, 2 and 3.  The holding pairs are decided at round 1 (2919,
-        # on the factors), round 2 (120, on its mixed pairs, unbuilt) and
-        # round 3 (2, after round 2 is built)
-        tests = []
-        next_round = lexsym.analysis._next_round
-        monkeypatch.setattr(lexsym.analysis, "_next_round",
-                            lambda *a: tests.append(a) or next_round(*a))
+        # on the factors), round 2 (120, on round 1's mixed pairs, after
+        # x[y] and its first round are built) and round 3 (2, after round 2
+        # is built)
+        calls = count_rounds(monkeypatch)
         holding, failing = ([(x, y) for x, y in pairs if x.n * y.n <= 12]
                             for pairs in census_pairs())
         assert (len(holding), len(failing)) == (3041, 390)
         decided = Counter()
         for i, (x, y) in enumerate(holding + failing):
-            tests.clear()
-            assert verify_wl_separation(x, y) == reference_verify_wl_separation(x, y), (
-                x.rows, y.rows)
+            calls.clear()
+            rep = verify_wl_separation(x, y)
             if i < len(holding):
-                decided[1 + len(tests)] += 1
+                decided[1 + calls.total()] += 1
+            assert rep == reference_verify_wl_separation(x, y), (x.rows, y.rows)
         assert decided == {1: 2919, 2: 120, 3: 2}
         assert all(reference_verify_wl_separation(x, y).failing_witnesses
                    for x, y in failing)
 
     def test_refine_step_calls_on_criterion_2_pairs(self, monkeypatch):
-        # refinement stops at the first separating round, and each round
-        # after the first is decided on its mixed pairs before it is built:
-        # over the 6132 criterion 2 pairs no refine_step runs and 22 rounds
-        # are built in full, against 1136 refine_step calls when every
-        # round was built and 10,601 to reach every stable colouring
-        calls = Counter()
-        for module, name in ((lexsym.wl, "refine_step"),
-                             (lexsym.analysis, "_canonical_rename")):
-            f = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, f=f, name=name: calls.update([name]) or f(*a))
+        # refinement stops at the first separating round, and each round is
+        # tested on its mixed pairs before the next is built: over the 6132
+        # criterion 2 pairs refine_step builds 22 rounds, against 1136 calls
+        # when every round up to the separating one was built and 10,601 to
+        # reach every stable colouring
+        calls = count_rounds(monkeypatch)
         holding, _ = census_pairs()
         assert len(holding) == 6132
         for x, y in holding:
             verify_wl_separation(x, y)
-        assert calls == {"_canonical_rename": 22}
+        assert calls["refine_step"] == 22
 
     def test_round_two_built_when_its_mixed_pairs_meet(self, monkeypatch):
-        # 2K1[P6]: the keys of round 2's mixed pairs meet across inner and
-        # outer, so round 2 is built; round 3 separates on its mixed pairs
+        # 2K1[P6]: the keys of round 1's mixed pairs meet across inner and
+        # outer, so round 2 is built; round 3 is not, because round 2's
+        # mixed keys do not meet
         x, y = empty_graph(2), Graph(6, (24, 48, 32, 1, 3, 6))
         assert sabidussi_conditions(x, y).wreath_holds
-        tests = []
-        next_round = lexsym.analysis._next_round
-        monkeypatch.setattr(lexsym.analysis, "_next_round",
-                            lambda *a: tests.append(next_round(*a)) or tests[-1])
+        calls = count_rounds(monkeypatch)
         rep = verify_wl_separation(x, y)
+        assert calls == {"first_round": 1, "refine_step": 1}
         assert rep == reference_verify_wl_separation(x, y) == SeparationReport(True, True, ())
-        assert [t is None for t in tests] == [False, True]
 
     @settings(max_examples=200, deadline=None)
     @given(graph_with_permutation(1, 6), graph_with_permutation(1, 5))
@@ -188,19 +208,11 @@ class TestSeparation:
     def test_first_round_calls_on_criterion_2_pairs(self, monkeypatch):
         # the first round is decided from the factors for 5018 of the 6132
         # criterion 2 pairs; only the other 1114 build x[y] and refine it
-        calls = 0
-        first_round = lexsym.analysis.first_round
-
-        def counting(g):
-            nonlocal calls
-            calls += 1
-            return first_round(g)
-
-        monkeypatch.setattr(lexsym.analysis, "first_round", counting)
+        calls = count_rounds(monkeypatch)
         holding, _ = census_pairs()
         for x, y in holding:
             verify_wl_separation(x, y)
-        assert calls == 1114
+        assert calls["first_round"] == 1114
 
     @pytest.mark.parametrize("x, y", [(empty_graph(0), complete_graph(2)),
                                       (complete_graph(2), empty_graph(0))])
@@ -222,7 +234,7 @@ class TestSeparation:
         assert check_first_iteration_consequences(path_graph(3), path_graph(3)) == []
         # P3[P3] separates at round 1, which would skip the product altogether
         monkeypatch.setattr(lexsym.analysis, "_first_round_separates", lambda x, y: False)
-        monkeypatch.setattr(lexsym.analysis, "first_round", initial_colouring)
+        monkeypatch.setattr(lexsym.wl, "first_round", initial_colouring)
         violations = check_first_iteration_consequences(path_graph(3), path_graph(3))
         assert len(violations) == 135
         assert set(violations) == {

@@ -1,11 +1,13 @@
 """Command-line verbs, JSON payloads, and exit codes."""
 
+import hashlib
 import json
 from itertools import combinations
 
 import pytest
 
 import lexsym.analysis
+import lexsym.wl
 from conftest import petersen_graph
 from lexsym import (Graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
                     lex_product, parse_graph, path_graph,
@@ -193,16 +195,29 @@ class TestVerify:
     def test_product_built_only_when_round_one_does_not_separate(
             self, capsys, write_file, monkeypatch, x, y, built):
         # C7[C6] separates at round 1, so neither check builds the product;
-        # C4[3K2] does not, and both checks share one product, one round 1
-        # and one set of pair buckets
+        # C4[3K2] does not, and both checks share one product and one round 1
         calls = []
-        for name in ("lex_product", "first_round", "_pair_buckets"):
-            f = getattr(lexsym.analysis, name)
-            monkeypatch.setattr(lexsym.analysis, name,
+        for module, name in ((lexsym.analysis, "lex_product"), (lexsym.wl, "first_round")):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, f=f, name=name: calls.append(name) or f(*a))
         payload = run_json(capsys, ["verify", write_file("x.g", x), write_file("y.g", y)])
-        assert calls == built * ["lex_product", "first_round", "_pair_buckets"]
+        assert calls == built * ["lex_product", "first_round"]
         assert payload["first_iteration_violations"] == []
+
+    @pytest.mark.parametrize("x, y, witnesses, size, digest", [
+        (cycle_graph(4), disjoint_union([complete_graph(2)] * 3)[0], 3456, 70389,
+         "929b56625c2bfceb1adf504346d9cde63d860d8294d232aa1912328d5e177b7b"),
+        (empty_graph(2), empty_graph(2), 8, 261,
+         "c21f9f9b89ee8ce4332768a51ba990d157c9638b4be9f6be638f5e7cce6fb179"),
+    ], ids=["C4[3K2]", "2K1[2K1]"])
+    def test_stdout_golden(self, capsys, write_file, x, y, witnesses, size, digest):
+        # the bytes, witness order included, of two products that do not
+        # separate
+        assert run(["verify", write_file("x.g", x), write_file("y.g", y)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(json.loads(out)["witnesses"]) == witnesses
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
     def test_empty_factor_is_refused(self, capsys, write_file):
         x = write_file("k0.g", text="0\n")
