@@ -90,31 +90,30 @@ def sabidussi_conditions(x: Graph, y: Graph) -> ConditionReport:
 
 def _witnesses(c: PairColouring, product: Graph, ny: int) -> tuple[list, list]:
     """The pairs of x[y] = `product`, |V(y)| = `ny`, that `c` does not
-    separate, from one row-major pass over p < q: the (inner, outer) pairs
-    whose colours (both orientations) meet, edges then non-edges, each
-    inner-major with the outer pairs in row-major order.  A colour lies on
-    one kind of pair, so an inner pair meets outer pairs of its own kind
-    only.  The outer pairs are indexed by colour, so the work grows with
-    the pairs and the witnesses rather than with inner times outer."""
+    separate, from one row-major pass over p < q, inner up to the end of
+    the block of `ny` holding p: the (inner, outer) pairs whose colours
+    (both orientations) meet, edges then non-edges, each inner-major with
+    the outer pairs in row-major order.  A colour lies on one kind of pair,
+    so an inner pair meets outer pairs of its own kind only.  The outer
+    pairs are indexed by colour, so the work grows with the pairs and the
+    witnesses rather than with inner times outer."""
     n, colours = c.n, c.colours
     inner: tuple[list, list] = ([], [])  # non-edges, edges: by the adjacency bit
     outer: list[tuple[int, int]] = []
     by_colour: dict[int, list[int]] = {}
     for p, row in enumerate(product.rows):
-        for q in range(p + 1, n):
-            colour_set = {colours[p * n + q], colours[q * n + p]}
-            if p // ny == q // ny:
-                inner[row >> q & 1].append(((p, q), colour_set))
-                continue
-            for colour in colour_set:
+        end = (p // ny + 1) * ny
+        for q in range(p + 1, end):
+            inner[row >> q & 1].append(((p, q), colours[p * n + q], colours[q * n + p]))
+        for q in range(end, n):
+            for colour in {colours[p * n + q], colours[q * n + p]}:
                 by_colour.setdefault(colour, []).append(len(outer))
             outer.append((p, q))
     nonedge_witnesses, edge_witnesses = [], []
     for witnesses, pairs in zip((nonedge_witnesses, edge_witnesses), inner):
-        for pair, colour_set in pairs:
-            hits: set[int] = set()
-            for colour in colour_set:
-                hits.update(by_colour.get(colour, ()))
+        for pair, pq, qp in pairs:
+            hits = set(by_colour.get(pq, ()))
+            hits.update(by_colour.get(qp, ()))
             witnesses.extend([(pair, outer[i]) for i in sorted(hits)])
     return edge_witnesses, nonedge_witnesses
 
