@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Verdict survey across all small factor pairs.
 
-Analyses every unlabelled pair within the bounds and tabulates the
-resulting verdicts (wreath / decomposed / indeterminate), plus how often
-the stable colouring separates inner from outer (non-)edges when the
-wreath conditions fail.  Useful for eyeballing how far the certified
-pathways reach before the symbolic machinery gives up.
+Tallies the verdict of every unlabelled pair within the bounds (wreath /
+decomposed / indeterminate), plus how often the stable colouring separates
+inner from outer (non-)edges when the wreath conditions fail.  A verdict
+is `decide`'s alone: no expression is certified and no automorphism order
+is computed.  Useful for eyeballing how far the certified pathways reach
+before the symbolic machinery gives up.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lexsym import FactorTable, analyze_product, verify_wl_separation
+from lexsym import decide, sabidussi_conditions, verify_wl_separation
 from lexsym.sweeps import census_pairs
 
 
@@ -34,11 +35,11 @@ def main(argv=None) -> int:
     pairs, skipped = census_pairs(args.max_nx, args.max_ny, args.max_product)
     verdicts: Counter[str] = Counter({"skipped(bound)": skipped} if skipped else {})
     separation: Counter[str] = Counter()
-    factors = FactorTable()
     for x, y in pairs:
-        report = analyze_product(x, y, factors=factors)
-        verdicts[report.verdict] += 1
-        if args.check_separation and not report.conditions.wreath_holds:
+        conditions = sabidussi_conditions(x, y)
+        verdict, _ = decide(x, y, conditions)
+        verdicts[verdict] += 1
+        if args.check_separation and not conditions.wreath_holds:
             sep = verify_wl_separation(x, y)
             both = (sep.inner_outer_edges_separated
                     and sep.inner_outer_nonedges_separated)

@@ -4,6 +4,8 @@ Decides whether the symmetry of x[y] factors as a (free) wreath product of
 the factor symmetries, verifies the separation of inner and outer
 (non-)edges by the 2-WL refinement, and assembles a serializable report
 with a symbolic expression and an optional brute-force cross-check.
+`decide` is the verdict rule and certifies nothing; `analyze_product`
+certifies the pair it names, through the caller's `FactorTable`.
 
 A 2-WL colour lies on one kind of pair (diagonal, edge or non-edge), so
 both separations hold exactly when no colour lies on an inner and an outer
@@ -328,15 +330,30 @@ class FactorTable:
                 wreath_order(self.orders[y], x.n, self.orders[x]))
 
 
+def decide(x: Graph, y: Graph,
+           conditions: ConditionReport) -> tuple[str, Optional[tuple[Graph, Graph]]]:
+    """The verdict for x[y] and the pair (outer, inner) by which the paper's
+    theorem certifies it, Qut(x[y]) = FreeWreath(Qut(inner), Qut(outer)):
+    'wreath' and (x, y) when both `conditions` hold, 'decomposed' and the
+    twin quotient of `analyze_vt_product` when one fails, else
+    'indeterminate' and None.  No oracle runs, so no bound applies."""
+    if conditions.wreath_holds:
+        return "wreath", (x, y)
+    try:
+        return "decomposed", analyze_vt_product(x, y)
+    except GraphError:
+        return "indeterminate", None
+
+
 def analyze_product(x: Graph, y: Graph, max_degree: int = DEFAULT_MAX_DEGREE,
                     factors: Optional[FactorTable] = None) -> AnalysisReport:
     """Decide the wreath verdict for x[y] and build the report.
 
-    When both conditions hold the product's symmetry is the (free) wreath
-    product of the factor symmetries, each the factor's certified expression
-    from the structural walk (a Qut leaf where it has none).  Otherwise the
-    twin quotient of `analyze_vt_product` is attempted; failing that (twin
-    classes not uniform) the verdict is indeterminate, naming the condition.
+    The verdict and the pair (outer, inner) are `decide`'s.  The quantum
+    expression is the free wreath of the pair's certified expressions from
+    the structural walk (a Qut leaf where one has none), for 'wreath' and
+    'decomposed' alike; with no pair it is indeterminate, naming the
+    condition that fails.
 
     `factors` belongs to the caller, which builds one per run at the run's
     bound, so a sweep over many pairs works out each factor once; with
@@ -349,17 +366,13 @@ def analyze_product(x: Graph, y: Graph, max_degree: int = DEFAULT_MAX_DEGREE,
     elif factors.max_degree != max_degree:
         raise ValueError(f"factor table of bound {factors.max_degree} read at {max_degree}")
     conditions = sabidussi_conditions(x, y)
-    if conditions.wreath_holds:
-        verdict = "wreath"
-        quantum = simplify(FreeWreath(factors.certified(y), factors.certified(x)))
+    verdict, pair = decide(x, y, conditions)
+    if pair is None:
+        failed = "i" if not conditions.condition_i else "ii"
+        quantum = Indeterminate(f"condition {failed} fails and no pathway applies")
     else:
-        try:
-            quantum = analyze_vt_product(x, y, max_degree)
-            verdict = "decomposed"
-        except GraphError:
-            failed = "i" if not conditions.condition_i else "ii"
-            quantum = Indeterminate(f"condition {failed} fails and no pathway applies")
-            verdict = "indeterminate"
+        outer, inner = pair
+        quantum = simplify(FreeWreath(factors.certified(inner), factors.certified(outer)))
     order = worder = None
     skipped = None
     if x.n * y.n <= max_degree:

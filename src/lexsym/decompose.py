@@ -4,6 +4,8 @@ One structural walk splits a graph at the first of: its components, its
 co-components, its maximal strong modules when they are pairwise isomorphic
 (Gallai 1967: the quotient is then prime), and its uniform twin or
 complement-twin classes.  `qut_expression` recurses over the walk.
+`analyze_vt_product` reduces a product whose wreath conditions fail to
+one where they hold, and certifies nothing.
 """
 
 from __future__ import annotations
@@ -176,18 +178,21 @@ def qut_disjoint_union(g: Graph, max_degree: int = DEFAULT_MAX_DEGREE) -> GroupE
     return simplify(terms[0] if len(terms) == 1 else FreeProd(tuple(terms)))
 
 
-def analyze_vt_product(x: Graph, y: Graph,
-                       max_degree: int = DEFAULT_MAX_DEGREE) -> GroupExpr:
-    """Symbolic quantum symmetry of x[y] when a wreath condition fails.
+def analyze_vt_product(x: Graph, y: Graph) -> tuple[Graph, Graph]:
+    """The twin-quotient reduction of x[y] when a wreath condition fails:
+    the pair (outer, inner) with Qut(x[y]) = FreeWreath(Qut(inner), Qut(outer)).
 
     Condition i fails when y is disconnected and x has twins.  If the twin
     classes of x all have size a, then x = x'[aK1] with x' twin-free, and
-    x[y] = x'[a.y] satisfies both conditions: the theorem and the
-    disjoint-union rule give FreeWreath(Qut(a.y), Qut(x')).  Condition ii
-    is condition i for the complements, so it is checked on them when y is
-    connected.  Non-uniform twin classes raise GraphError.  The name is
-    kept from the paper's vertex-transitive case because the benchmark
-    tracer looks the function up by it.
+    x[y] = x'[a.y] satisfies both conditions: the pair is (x', a.y).
+    Condition ii is condition i for the complements, so it is checked on
+    them when y is connected: x = x''[K_a], x'' the quotient by the twin
+    classes of the complement of x, and K_a[y] is the complement of a.ybar,
+    which has the same quantum symmetry, so the pair is (x'', a.ybar).
+    Vertex k of the quotient is twin class k; copy r stands for its member
+    r.  Non-uniform twin classes raise GraphError.  The name is kept from
+    the paper's vertex-transitive case because the benchmark tracer looks
+    the function up by it.
     """
     xx, yy = (x, y) if not is_connected(y) else (complement(x), complement(y))
     twins = twin_partition(xx)
@@ -196,8 +201,7 @@ def analyze_vt_product(x: Graph, y: Graph,
     if twins.uniform_size is None:
         raise GraphError("twin classes are not uniform")
     copies, _ = disjoint_union([yy] * twins.uniform_size)
-    return simplify(FreeWreath(certified(copies, max_degree),
-                               certified(_quotient(x, twins.classes), max_degree)))
+    return _quotient(x, twins.classes), copies
 
 
 def certified(g: Graph, max_degree: int) -> GroupExpr:

@@ -1,6 +1,6 @@
 """Exhaustive runs over the census pairs of small graphs: the order sweep
-here and `scripts/survey_verdicts.py` walk `census_pairs`, each with one
-`FactorTable` for the run."""
+here, with one `FactorTable` for the run, and `scripts/survey_verdicts.py`
+walk `census_pairs`."""
 
 from __future__ import annotations
 

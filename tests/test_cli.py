@@ -126,6 +126,22 @@ class TestAnalyze:
         assert list(payload)[-1] == ("classical_expr" if classical else "graphs")
         assert payload.get("classical_expr") == classical
 
+    @pytest.mark.parametrize("x, y, size, digest", [
+        (lex_product(cycle_graph(5), complete_graph(2)), complete_graph(2), 710,
+         "8e39eed3d04ba89e141b871e93203740a81d54b398f65d72a35cb7dfee700787"),
+        (lex_product(cycle_graph(5), empty_graph(2)), empty_graph(2), 680,
+         "5f71b5c7b66658986661b724fa730ea4b685b7e06a7a19514d00c8f33ecc02a5"),
+    ], ids=["C5[K2],K2", "C5[2K1],2K1"])
+    def test_decomposed_stdout_golden(self, capsys, write_file, x, y, size, digest):
+        # condition ii fails on the first pair and condition i on the second;
+        # both reduce to C5 over four vertices
+        assert run(["analyze", write_file("x.g", x), write_file("y.g", y), "--json"]) == 0
+        out = capsys.readouterr().out.encode()
+        payload = json.loads(out)
+        assert payload["verdict"] == "decomposed"
+        assert payload["quantum_expr"] == "FreeWreath(S+(4),Qut(#50dfef4d))"
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
     def test_text_output(self, capsys, write_file):
         x = write_file("c4.g", cycle_graph(4))
         y = write_file("k2.g", complete_graph(2))

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import apply_permutation, graphs
 from lexsym import (Graph, analyze_product, aut_order, classical_order,
                     complement, complete_graph, cycle_graph, disjoint_union,
                     empty_graph, is_vertex_transitive, lex_product, path_graph,
@@ -17,6 +17,7 @@ from lexsym.decompose import (_maximal_modules, _quotient, analyze_vt_product,
 from lexsym.expressions import FreeWreath, Indeterminate, SPlus, degree, simplify
 from lexsym.formats import content_hash
 from lexsym.graphs import GraphError, connected_components, induced_subgraph, is_connected
+from lexsym.sweeps import census_pairs
 
 
 def copies(g, k):
@@ -219,19 +220,63 @@ class TestDisjointUnionRule:
             "component isomorphism exceeds the oracle bound")
 
 
+def decomposed(x, y, max_degree=14):
+    """The quantum expression `analyze_product` certifies for x[y] on the
+    twin quotient of `analyze_vt_product`."""
+    rep = analyze_product(x, y, max_degree)
+    assert rep.verdict == "decomposed"
+    return rep.quantum_expr
+
+
 class TestVtProductPathway:
     def test_rejected_when_conditions_hold(self):
         with pytest.raises(GraphError):
             analyze_vt_product(cycle_graph(4), complete_graph(2))
 
     def test_mode_one(self):
-        expr = analyze_vt_product(empty_graph(2), empty_graph(2))
-        assert expr == SPlus(4)
+        # 2K1 = K1[2K1], so 2K1[2K1] = K1[4K1]
+        assert analyze_vt_product(empty_graph(2), empty_graph(2)) == (
+            complete_graph(1), empty_graph(4))
+        assert decomposed(empty_graph(2), empty_graph(2)) == SPlus(4)
 
     def test_mode_two_via_complements(self):
         # K2[K2] is K4, so the full quantum symmetric group appears
-        expr = analyze_vt_product(complete_graph(2), complete_graph(2))
-        assert expr == SPlus(4)
+        # the inner factor is 4K1, two copies of the complement of K2, not K4
+        assert analyze_vt_product(complete_graph(2), complete_graph(2)) == (
+            complete_graph(1), empty_graph(4))
+        assert decomposed(complete_graph(2), complete_graph(2)) == SPlus(4)
+
+    def test_reduction_meets_the_conditions_and_relabels_the_product(self):
+        # census factors of at most 7 vertices, products of at most 16: for
+        # each failing pair that reduces, both conditions hold on (outer,
+        # inner), and x[y] is outer[inner] with (v, i) at k*|inner| + r*|y| + i
+        # for v member r of twin class k; when condition ii fails, inner is
+        # complemented first, and the classes are those of the complement of x
+        pairs, _ = census_pairs(7, 7, 16)
+        assert len(pairs) == 8000
+        reduced = Counter()
+        for x, y in pairs:
+            conditions = sabidussi_conditions(x, y)
+            if conditions.wreath_holds:
+                continue
+            try:
+                outer, inner = analyze_vt_product(x, y)
+            except GraphError:
+                continue
+            failed = "i" if conditions.condition_ii else "ii"
+            reduced[failed] += 1
+            twins_of = x
+            if failed == "ii":
+                twins_of, inner = complement(x), complement(inner)
+            place = [0] * x.n
+            for k, cls in enumerate(twin_partition(twins_of).classes):
+                for r, v in enumerate(cls):
+                    place[v] = k * inner.n + r * y.n
+            relabel = [place[p // y.n] + p % y.n for p in range(x.n * y.n)]
+            where = (failed, x.rows, y.rows)
+            assert sabidussi_conditions(outer, inner).wreath_holds, where
+            assert apply_permutation(lex_product(x, y), relabel) == lex_product(outer, inner), where
+        assert reduced == {"i": 301, "ii": 301}
 
     def test_non_transitive_factor_rejected(self):
         # P3's twin classes {0, 2} and {1} are not uniform, so P3 is no
@@ -242,21 +287,20 @@ class TestVtProductPathway:
     def test_runs_no_oracle(self):
         # the four components of 4K1 are equal as labelled graphs, so no
         # isomorphism test runs and a bound of 1 is never reached
-        assert analyze_vt_product(empty_graph(2), empty_graph(2), max_degree=1) == SPlus(4)
+        assert decomposed(empty_graph(2), empty_graph(2), max_degree=1) == SPlus(4)
 
     def test_transitive_free_factor(self):
         # P4[2K1] has uniform twin classes but is not vertex transitive
         x, y = lex_product(path_graph(4), empty_graph(2)), empty_graph(2)
-        expr = analyze_vt_product(x, y)
+        expr = decomposed(x, y)
         assert serialize(expr) == f"FreeWreath(S+(4),Qut(#{content_hash(path_graph(4))}))"
-        assert analyze_product(x, y).verdict == "decomposed"
         assert degree(expr) == 16
         assert classical_order(expr) == 663552 == aut_order(lex_product(x, y))
 
     def test_product_past_the_bound(self):
         # K3,3[2K3] has 36 vertices; its co-components are identical copies
         k33 = complement(copies(complete_graph(3), 2))
-        expr = analyze_vt_product(k33, copies(complete_graph(3), 2), 14)
+        expr = decomposed(k33, copies(complete_graph(3), 2), 14)
         assert serialize(expr) == "FreeWreath(FreeWreath(S+(3),S+(6)),S+(2))"
 
     def test_differently_labelled_components_past_the_bound(self):
@@ -266,16 +310,15 @@ class TestVtProductPathway:
         x = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                                  (4, 6), (6, 5), (5, 7), (7, 4)])
         y = copies(complete_graph(2), 2)
-        expr = analyze_vt_product(x, y)
+        expr = decomposed(x, y)
         assert serialize(expr) == "FreeWreath(FreeWreath(S+(2),S+(4)),FreeWreath(S+(2),S+(2)))"
-        assert analyze_product(x, y).verdict == "decomposed"
         assert degree(expr) == 32
         assert classical_order(expr) == aut_order(lex_product(x, y))
-        assert expr == analyze_vt_product(complement(x), complement(y))
+        assert expr == decomposed(complement(x), complement(y))
 
     def test_quotient_leaf_is_expanded(self):
         # X' = 2K2 is certified on its own, so it is no Qut leaf
-        expr = analyze_vt_product(copies(cycle_graph(4), 2), empty_graph(2))
+        expr = decomposed(copies(cycle_graph(4), 2), empty_graph(2))
         assert serialize(expr) == "FreeWreath(S+(4),FreeWreath(S+(2),S+(2)))"
 
     def test_certified_on_small_transitive_pairs(self):
@@ -294,7 +337,7 @@ class TestVtProductPathway:
                 closed = simplify(FreeWreath(FreeWreath(certified(y_core, 14),
                                                         SPlus(len(twins[0]) * len(comps))),
                                              certified(back(_quotient(back(x), twins)), 14)))
-                expr = analyze_vt_product(x, y)
+                expr = decomposed(x, y)
                 assert expr == closed, (serialize(expr), serialize(closed))
                 assert degree(expr) == x.n * y.n
                 assert classical_order(expr) == aut_order(lex_product(x, y))

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import lexsym.analysis
+import lexsym.decompose
+import lexsym.groups
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,14 +52,30 @@ class TestSurvey:
             "separation when conditions fail:\n"
             "  mixed                54\n")
 
-    def test_each_factor_order_is_computed_once(self, capsys, monkeypatch):
-        # the default tally's 126 products and 18 distinct factors
+    def test_tally_certifies_nothing(self, capsys, monkeypatch):
+        # a verdict is decided without an automorphism order or a certified
+        # expression, on any of the default tally's 126 products
         calls = []
-        order = lexsym.analysis.aut_order
-        monkeypatch.setattr(lexsym.analysis, "aut_order", lambda g: calls.append(g) or order(g))
+        for module, name in ((lexsym.analysis, "aut_order"), (lexsym.groups, "aut_order"),
+                             (lexsym.decompose, "qut_expression")):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, f=f, name=name: calls.append(name) or f(*a))
         assert load_survey().main([]) == 0
         assert capsys.readouterr().out == VERDICTS
-        assert len(calls) == 144
+        assert calls == []
+
+    def test_benchmark_survey_pairs(self, capsys):
+        # the 1030 pairs of the benchmark's survey workload
+        argv = ["--max-nx", "6", "--max-ny", "4", "--max-product", "16", "--check-separation"]
+        assert load_survey().main(argv) == 0
+        assert capsys.readouterr().out == ("verdicts:\n"
+                                           "  decomposed           78\n"
+                                           "  indeterminate        330\n"
+                                           "  skipped(bound)       2714\n"
+                                           "  wreath               622\n"
+                                           "separation when conditions fail:\n"
+                                           "  mixed                408\n")
 
     @pytest.mark.parametrize("argv", [
         ["--max-nx", "-1"],
